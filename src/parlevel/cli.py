@@ -27,15 +27,21 @@ from .terms import eval_term, parse_term
 from .zoo import list_names, make
 
 
+def _read(path: str) -> str:
+    """Text of an input file; one that cannot be read is an input error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise AnalysisError(f"cannot read {path}: {reason}") from None
+
+
 def _load_function(source: str) -> MonotoneFn:
     if source.startswith("zoo:"):
         return make(source[4:])
-    path = Path(source)
-    if not path.exists():
-        raise AnalysisError(f"no such file: {source}")
-    fn = parse_trace(path.read_text())
+    fn = parse_trace(_read(source))
     if fn.name is None:
-        fn = fn.renamed(path.stem)
+        fn = fn.renamed(Path(source).stem)
     return fn
 
 
@@ -75,7 +81,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     extra = ()
     if args.relations:
-        extra = tuple(parse_relation_file(Path(args.relations).read_text()))
+        extra = tuple(parse_relation_file(_read(args.relations)))
     verdict = compare(
         left, right, cfg, allow_terms=args.allow_terms, extra_relations=extra
     )
@@ -107,7 +113,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
     if args.relation:
         rels = [parse_relation(args.relation)]
     else:
-        rels = parse_relation_file(Path(args.relations).read_text())
+        rels = parse_relation_file(_read(args.relations))
     rows = []
     for rel in rels:
         witness = invariance_counterexample(fn, rel, cfg)
@@ -141,7 +147,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
 
 
 def cmd_term(args: argparse.Namespace) -> int:
-    term = parse_term(Path(args.termfile).read_text())
+    term = parse_term(_read(args.termfile))
     oracle = _load_function(args.oracle)
     result = eval_term(term, oracle, _config_from(args))
     if args.name:

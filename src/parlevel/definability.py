@@ -25,7 +25,7 @@ from .errors import (
     SoundnessError,
 )
 from .functions import MonotoneFn, is_stable
-from .lattice import TT
+from .lattice import TT, bitplanes, mask_coherent
 from .plevels import INF, cc
 from .relations import (
     Relation,
@@ -50,43 +50,11 @@ class BMMapping:
         if any(not 0 <= t < self.target.trace_size for t in self.assignment):
             raise InapplicableError("assignment index out of range")
 
-    def entry_map(self) -> dict:
-        return {
-            self.source.entries[s]: self.target.entries[t]
-            for s, t in enumerate(self.assignment)
-        }
-
     def rows(self) -> list[list[str]]:
         return [
             [str(self.source.entries[s]), str(self.target.entries[t])]
             for s, t in enumerate(self.assignment)
         ]
-
-
-def _coord_masks(fn: MonotoneFn) -> tuple[list[int], list[int], list[int]]:
-    """Per-coordinate bitmasks over trace entries: undefined / true / false."""
-    bot = [0] * fn.arity
-    tt = [0] * fn.arity
-    ff = [0] * fn.arity
-    for idx, e in enumerate(fn.entries):
-        bit = 1 << idx
-        for c, v in enumerate(e.input.entries):
-            if v == 0:
-                bot[c] |= bit
-            elif v == 1:
-                tt[c] |= bit
-            else:
-                ff[c] |= bit
-    return bot, tt, ff
-
-
-def _mask_coherent(mask: int, bot: list[int], tt: list[int], ff: list[int]) -> bool:
-    for c in range(len(bot)):
-        if mask & bot[c]:
-            continue
-        if (mask & tt[c]) and (mask & ff[c]):
-            return False
-    return True
 
 
 def check_bm(mapping: BMMapping, config: SearchConfig = DEFAULT_CONFIG) -> bool:
@@ -98,8 +66,8 @@ def check_bm(mapping: BMMapping, config: SearchConfig = DEFAULT_CONFIG) -> bool:
         raise BoundExceededError(
             f"source trace size {m} above mapping bound {config.mapping_bound}"
         )
-    sbot, stt, sff = _coord_masks(src)
-    tbot, ttt, tff = _coord_masks(mapping.target)
+    splanes = bitplanes(src.inputs)
+    tplanes = bitplanes(mapping.target.inputs)
     out_tt_mask = 0
     for idx, e in enumerate(src.entries):
         if e.output == TT:
@@ -109,7 +77,7 @@ def check_bm(mapping: BMMapping, config: SearchConfig = DEFAULT_CONFIG) -> bool:
     for mask in range(1, 1 << m):
         if mask.bit_count() < 2:
             continue
-        if not _mask_coherent(mask, sbot, stt, sff):
+        if not mask_coherent(mask, splanes):
             continue
         image = 0
         bits = mask
@@ -119,7 +87,7 @@ def check_bm(mapping: BMMapping, config: SearchConfig = DEFAULT_CONFIG) -> bool:
             bits ^= low
         if image.bit_count() < 2:
             return False
-        if not _mask_coherent(image, tbot, ttt, tff):
+        if not mask_coherent(image, tplanes):
             return False
         tt_part = mask & out_tt_mask
         ff_part = mask & ~out_tt_mask
@@ -161,15 +129,15 @@ def bm_search(
     if raw > config.budget:
         raise BudgetExceededError(raw, config.budget, what="mapping search")
 
-    sbot, stt, sff = _coord_masks(f)
-    tbot, ttt, tff = _coord_masks(g)
+    splanes = bitplanes(f.inputs)
+    tplanes = bitplanes(g.inputs)
     src_out = [int(e.output) for e in f.entries]
     tgt_out = [int(e.output) for e in g.entries]
 
     # coherent source subsets grouped by their highest entry index
     by_max: list[list[int]] = [[] for _ in range(m)]
     for mask in range(1, 1 << m):
-        if mask.bit_count() >= 2 and _mask_coherent(mask, sbot, stt, sff):
+        if mask.bit_count() >= 2 and mask_coherent(mask, splanes):
             by_max[mask.bit_length() - 1].append(mask)
 
     assignment: list[int] = []
@@ -188,7 +156,7 @@ def bm_search(
                     outs_ff |= 1 << tgt_out[t]
             if image.bit_count() < 2:
                 return False
-            if not _mask_coherent(image, tbot, ttt, tff):
+            if not mask_coherent(image, tplanes):
                 return False
             if outs_tt and outs_ff and (outs_tt & outs_ff):
                 return False

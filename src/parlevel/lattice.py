@@ -68,10 +68,6 @@ class TriTuple:
         return len(self.entries)
 
     @classmethod
-    def of(cls, *values: int) -> "TriTuple":
-        return cls(tuple(Tri(v) for v in values))
-
-    @classmethod
     def from_text(cls, text: str) -> "TriTuple":
         return cls(tuple(Tri.from_char(ch) for ch in text))
 
@@ -147,29 +143,32 @@ def is_coherent(tuples: Iterable[TriTuple]) -> bool:
     """Linear coherence: at every coordinate, some tuple is undefined or
     all tuples agree.  The empty set is vacuously coherent."""
     rows = list(tuples)
-    k = _shared_arity(rows)
+    return mask_coherent((1 << len(rows)) - 1, bitplanes(rows))
+
+
+Bitplanes = tuple[tuple[int, int, int], ...]
+
+
+def bitplanes(tuples: Sequence[TriTuple]) -> Bitplanes:
+    """Per-coordinate (undefined, true, false) bitmasks over tuple
+    positions: bit p of a coordinate's masks says what tuple p holds
+    there.  A subset of the tuples is then one integer mask."""
+    k = _shared_arity(tuples)
     if k is None:
-        return True
-    return _coherent_rows([r.entries for r in rows], k)
+        return ()
+    planes = [[0, 0, 0] for _ in range(k)]
+    for p, t in enumerate(tuples):
+        bit = 1 << p
+        for plane, v in zip(planes, t.entries):
+            plane[v] |= bit
+    return tuple(tuple(plane) for plane in planes)
 
 
-def _coherent_rows(rows: Sequence[Sequence[int]], k: int) -> bool:
-    # a later undefined entry excuses an earlier disagreement, so scan
-    # the whole column before giving up on it
-    for c in range(k):
-        has_bot = False
-        first = -1
-        differs = False
-        for r in rows:
-            v = r[c]
-            if v == 0:
-                has_bot = True
-                break
-            if first < 0:
-                first = v
-            elif v != first:
-                differs = True
-        if differs and not has_bot:
+def mask_coherent(mask: int, planes: Bitplanes) -> bool:
+    """Coherence of the tuples selected by `mask`: no coordinate where
+    none is undefined but both defined values occur."""
+    for bot, tt, ff in planes:
+        if not mask & bot and mask & tt and mask & ff:
             return False
     return True
 
@@ -203,7 +202,3 @@ def all_tuples(arity: int) -> Iterator[TriTuple]:
     for code in range(3**arity):
         yield TriTuple.decode(code, arity)
 
-
-def trit_at(code: int, arity: int, index: int) -> int:
-    """Trit of `code` at 0-based coordinate `index` (big-endian)."""
-    return (code // 3 ** (arity - 1 - index)) % 3

@@ -20,13 +20,12 @@ from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError
 from .functions import (
     MonotoneFn,
-    TraceEntry,
     _check_monotone_codes,
     is_bivalued,
     is_monovalued,
     trace_from_table,
 )
-from .lattice import TriTuple
+from .lattice import TT, TriTuple, bitplanes, mask_coherent
 from .relations import PreseqRel
 
 
@@ -135,36 +134,19 @@ def min_coherent_subset(
             f"trace size {m} above coherence bound {config.coherence_bound}"
         )
     entries = fn.entries
-    k = fn.arity
+    planes = bitplanes(fn.inputs)
+    out_tt = sum(1 << i for i, e in enumerate(entries) if e.output == TT)
+    out_ff = ((1 << m) - 1) & ~out_tt
+    bits = [1 << i for i in range(m)]
     start = 3 if bivalued else 2
     for size in range(start, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            if bivalued and len({entries[i].output for i in combo}) != 2:
+        for combo in itertools.combinations(bits, size):
+            mask = sum(combo)
+            if bivalued and not (mask & out_tt and mask & out_ff):
                 continue
-            if _combo_coherent(entries, combo, k):
-                return tuple(entries[i].input for i in combo)
+            if mask_coherent(mask, planes):
+                return tuple(entries[b.bit_length() - 1].input for b in combo)
     return None
-
-
-def _combo_coherent(entries: tuple[TraceEntry, ...], combo: tuple[int, ...], k: int) -> bool:
-    # a later undefined entry excuses an earlier disagreement, so scan
-    # the whole column before giving up on it
-    for c in range(k):
-        has_bot = False
-        first = -1
-        differs = False
-        for i in combo:
-            v = entries[i].input.entries[c]
-            if v == 0:
-                has_bot = True
-                break
-            if first < 0:
-                first = v
-            elif v != first:
-                differs = True
-        if differs and not has_bot:
-            return False
-    return True
 
 
 def cc(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> ExtNat:

@@ -113,7 +113,9 @@ _ATOMS = {
 _PARAM_RE = re.compile(r"^(gustave_i|por_i|ntdet|bg)\((\d+)(?:,(\d+))?\)$")
 
 
-def _split_plus(text: str) -> list[str]:
+def _split_top(text: str, sep: str, original: str) -> list[str]:
+    """Split `text` at each `sep` outside parentheses; unbalanced
+    parentheses are a format error."""
     parts = []
     depth = 0
     cur = []
@@ -122,11 +124,15 @@ def _split_plus(text: str) -> list[str]:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "+" and depth == 0:
+            if depth < 0:
+                break
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
+    if depth != 0:
+        raise FormatError(f"unbalanced parentheses in {original!r}")
     parts.append("".join(cur))
     return parts
 
@@ -137,7 +143,7 @@ def make(name: str) -> MonotoneFn:
     text = name.strip().lower().replace(" ", "")
     if not text:
         raise FormatError("empty function name")
-    plus = _split_plus(text)
+    plus = _split_top(text, "+", name)
     if len(plus) > 1:
         if any(not p for p in plus):
             raise FormatError(f"bad sum expression {name!r}")
@@ -146,7 +152,7 @@ def make(name: str) -> MonotoneFn:
             acc = fn_sum(acc, make(part))
         return acc
     if text.startswith("sum(") and text.endswith(")"):
-        inner = _split_args(text[4:-1], name)
+        inner = _split_top(text[4:-1], ",", name)
         if len(inner) != 2:
             raise FormatError(f"sum takes two arguments: {name!r}")
         return fn_sum(make(inner[0]), make(inner[1]))
@@ -169,26 +175,6 @@ def make(name: str) -> MonotoneFn:
             return por(p1)
         return ntdet(p1)
     raise FormatError(f"unknown function name {name!r}")
-
-
-def _split_args(text: str, original: str) -> list[str]:
-    args = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormatError(f"unbalanced parentheses in {original!r}")
-        if ch == "," and depth == 0:
-            args.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    args.append("".join(cur))
-    return [a for a in args]
 
 
 def list_names() -> list[str]:

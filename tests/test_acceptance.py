@@ -1,26 +1,30 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single pass line once its assertions hold; pytest -v
-adds the per-criterion pass/fail verdicts.  Expected values are frozen
-golden numbers: the level table, the brute-filter monotone counts, and
-the construction replays were each computed by the independent oracles
-in this suite (exhaustive enumeration, brute-force invariance, full
-table equality)."""
+adds the per-criterion pass/fail verdicts.  Criteria 1-7 drive the
+`parlevel verify` suites: the golden level table is the plevels suite's,
+and the lemmas, hierarchies and terms suites each run once per module,
+with the tests asserting their rows and the frozen check counts.  The
+expected values were each computed by independent oracles (exhaustive
+enumeration, brute-force invariance, full table equality)."""
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import time
 
 import pytest
 
 import parlevel as pl
 from parlevel import zoo
-from parlevel.suites import SUM_PAIRS
+from parlevel.suites import (
+    GOLDEN_LEVELS,
+    SUM_PAIRS,
+    suite_hierarchies,
+    suite_lemmas,
+    suite_terms,
+)
 
 CFG = pl.DEFAULT_CONFIG
-WIDE = dataclasses.replace(CFG, table_bound=9)
 
 INF = pl.INF
 
@@ -35,168 +39,122 @@ def done(n: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def monotone_small():
-    """Every monotone function of arity 1 and 2, from the brute filter."""
-    fns = {k: list(pl.enumerate_monotone(k)) for k in (1, 2)}
-    assert [len(fns[1]), len(fns[2])] == [11, 197]  # frozen brute-filter counts
-    return fns
+def lemmas():
+    rows = suite_lemmas(CFG)
+    assert len(rows) == 4
+    return rows
 
 
-GOLDEN = (
-    [("bp", lv(2, 2))]
-    + [(f"gustave_i({i})", lv("inf", 2 * i)) for i in range(1, 5)]
-    + [(f"bg({i},{j})", lv(2 * i, 2 * i)) for i in range(1, 5) for j in range(1, i + 1)]
-    + [(f"por_i({i})", lv(i, 1)) for i in range(2, 7)]
-    + [("det", lv("inf", 1)), ("ttdet", lv("inf", 1))]
-    + [("bp+ttdet", lv(2, 1))]
-    + [("lsand", lv("inf", "inf"))]
-)
+@pytest.fixture(scope="module")
+def hierarchies():
+    start = time.time()
+    rows = suite_hierarchies(CFG)
+    assert len(rows) == 27
+    return rows, time.time() - start
+
+
+@pytest.fixture(scope="module")
+def terms():
+    rows = suite_terms(CFG)
+    assert len(rows) == 9
+    return rows
+
+
+def passed(rows, name: str):
+    """The one row called `name`, asserted to pass."""
+    hits = [r for r in rows if r.name == name]
+    assert len(hits) == 1, name
+    assert hits[0].passed, (name, hits[0].detail)
+    return hits[0]
 
 
 def test_criterion_01_zoo_level_golden_table():
     start = time.time()
-    for name, want in GOLDEN:
+    for name, i, j in GOLDEN_LEVELS:
         got = pl.p_level(zoo.make(name), CFG)
-        assert got == want, f"{name}: {got} != {want}"
+        assert got == lv(i, j), f"{name}: {got} != {lv(i, j)}"
     elapsed = time.time() - start
     assert elapsed < 1.0, f"golden table took {elapsed:.2f}s"
-    done(1, f"{len(GOLDEN)} golden levels exact in {elapsed * 1000:.0f} ms")
+    done(1, f"{len(GOLDEN_LEVELS)} golden levels exact in {elapsed * 1000:.0f} ms")
 
 
-def test_criterion_02_brute_invariance_equals_prediction(monotone_small):
-    relations = [pl.canonical_equal(m) for m in range(1, 5)] + [
-        pl.canonical_strict(m) for m in range(0, 5)
-    ]
-    checks = 0
-    for arity in (1, 2):
-        for fn in monotone_small[arity]:
-            level = pl.p_level(fn, CFG)
-            for rel in relations:
-                predicted = pl.predict_invariant(level, rel)
-                brute = pl.is_invariant(fn, rel, CFG)
-                assert predicted == brute, (fn, rel)
-                checks += 1
-    done(2, f"{checks} prediction/brute-force agreements, exact")
+def test_criterion_02_brute_invariance_equals_prediction(lemmas):
+    row = passed(
+        lemmas, "level criterion == brute-force invariance (all arity<=2 functions)"
+    )
+    # 11 + 197 monotone functions times 9 canonical relations
+    assert row.detail == "1872 checks, 0 mismatches"
+    done(2, "1872 prediction/brute-force agreements, exact")
 
 
-def test_criterion_03_reduction_and_closure_oracles():
-    small = zoo.catalog(max_arity=3)
-    reduction_checks = 0
-    for n in range(1, 5):
-        universe = list(range(1, n + 1))
-        for b_size in range(0, n + 1):
-            for b in itertools.combinations(universe, b_size):
-                for a_size in range(0, b_size + 1):
-                    for a in itertools.combinations(b, a_size):
-                        rel = pl.PreseqRel(n, frozenset(a), frozenset(b))
-                        canon = pl.canonicalize(rel)
-                        for fn in small:
-                            assert pl.is_invariant(fn, rel, CFG) == pl.is_invariant(
-                                fn, canon, CFG
-                            ), (fn.name, rel)
-                            reduction_checks += 1
-    closure_checks = 0
-    for fn in small:
-        for m in range(0, 4):
-            strict_m = pl.is_invariant(fn, pl.canonical_strict(m), CFG)
-            strict_next = pl.is_invariant(fn, pl.canonical_strict(m + 1), CFG)
-            eq_next = pl.is_invariant(fn, pl.canonical_equal(m + 1), CFG)
-            if m >= 1:
-                eq_m = pl.is_invariant(fn, pl.canonical_equal(m), CFG)
-                assert not strict_m or eq_m, (fn.name, m, "strict=>equal")
-                assert not eq_next or eq_m, (fn.name, m, "equal step-down")
-            assert not strict_next or strict_m, (fn.name, m, "strict step-down")
-            closure_checks += 3
-    done(3, f"{reduction_checks} reduction + {closure_checks} closure checks, exact")
+def test_criterion_03_reduction_and_closure_oracles(lemmas):
+    row = passed(lemmas, "canonicalization preserves invariance (zoo arity<=3, n<=4)")
+    assert row.detail == "1320 checks, 0 mismatches"
+    passed(lemmas, "closure implications (zoo arity<=3, m<=3)")
+    done(3, "1320 reduction checks and the closure checks, exact")
 
 
-def test_criterion_04_sequentiality_equivalence(monotone_small):
-    top = pl.PLevel(INF, INF)
-    for arity in (1, 2):
-        for fn in monotone_small[arity]:
-            recursive = pl.is_m_sequential(fn, CFG)
-            no_coherence = pl.cc(fn, CFG) == INF
-            at_top = pl.p_level(fn, CFG) == top
-            assert recursive == no_coherence == at_top, fn
+def test_criterion_04_sequentiality_equivalence(lemmas):
+    # frozen brute-filter counts of monotone functions at arity 1 and 2
+    assert [sum(1 for _ in pl.enumerate_monotone(k)) for k in (1, 2)] == [11, 197]
+    row = passed(lemmas, "sequentiality equivalence (all arity<=2 functions)")
+    assert row.detail == "208 functions, 0 mismatches"
     done(4, "recursive test == no-coherent-subset == top level, all arity<=2")
 
 
-def test_criterion_05_hierarchy_strictness():
-    start = time.time()
-    brute_verified = 0
-    for builder in (zoo.gustave, lambda i: zoo.bivalued_gustave(i, 1)):
+def test_criterion_05_hierarchy_strictness(hierarchies):
+    rows, elapsed = hierarchies
+    # each separation row also asserts that the level fast path flags the
+    # pair and that an invariant side not brute-forced is over budget
+    for family in ("gustave_i", "bg"):
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                low, high = builder(i), builder(j)
-                # level-comparison fast path flags the pair first
-                assert "left_not_below_right" in pl.inexpressible_by_plevel(
-                    low, high, CFG
-                )
-                out = pl.find_separating_relation(low, high, CFG)
-                sep = out.found
-                assert sep is not None, (low.name, high.name)
-                assert sep.witness.verify(low)
-                if sep.invariant_method == "brute":
-                    brute_verified += 1
-                else:
-                    # the skipped brute check is recorded with its cost
-                    assert sep.invariant_states > CFG.budget
-    assert brute_verified >= 1  # the smallest instance fits the budget
-    for builder in (zoo.gustave, lambda i: zoo.bivalued_gustave(i, 1)):
+                passed(rows, f"{family}: index {i} not definable from index {j}")
+    for name in (lambda i: f"gustave_i({i})", lambda i: f"bg({i},1)"):
         for i in range(1, 4):
             for j in range(i, 4):
-                assert pl.bm_search(builder(j), builder(i), CFG) is not None
-    elapsed = time.time() - start
+                passed(rows, f"{name(j)} definable from {name(i)}")
+    # the smallest bivalued instance fits the budget
+    sep = pl.find_separating_relation(
+        zoo.bivalued_gustave(1, 1), zoo.bivalued_gustave(2, 1), CFG
+    ).found
+    assert sep.invariant_method == "brute"
     assert elapsed < 60.0
-    done(5, f"12 separations verified, 12 mappings found in {elapsed:.1f}s")
+    done(5, f"12 separations verified, 12 mappings found (suite ran {elapsed:.1f}s)")
 
 
-def test_criterion_06_chain_separation():
-    start = time.time()
-    rel = pl.chain_relation(3)
-    f3 = pl.fn_sum(zoo.bp(), zoo.por(3))
-    f2 = pl.fn_sum(zoo.bp(), zoo.por(2))
-    assert f3.arity == 4 and f2.arity == 4
-    assert pl.is_invariant(f3, rel, CFG)
-    witness = pl.invariance_counterexample(f2, rel, CFG)
-    assert witness is not None
-    assert witness.verify(f2)
-    elapsed = time.time() - start
+def test_criterion_06_chain_separation(hierarchies):
+    rows, elapsed = hierarchies
+    assert pl.fn_sum(zoo.bp(), zoo.por(3)).arity == 4
+    assert pl.fn_sum(zoo.bp(), zoo.por(2)).arity == 4
+    passed(rows, "bp+por_i(3) respects the arity-3 chain relation")
+    passed(rows, "bp+por_i(2) breaks the arity-3 chain relation (witness replays)")
     assert elapsed < 300.0
-    done(6, f"chain relation separates the two join rungs in {elapsed:.1f}s")
+    done(6, f"chain relation separates the two join rungs (suite ran {elapsed:.1f}s)")
 
 
-def test_criterion_07_term_replays():
+def test_criterion_07_term_replays(terms):
     for i in (2, 3, 4):
-        assert pl.eval_term(pl.por_step_term(i), zoo.por(i), WIDE) == zoo.por(i + 1)
+        passed(terms, f"step term at por_i({i}) yields por_i({i + 1})")
     for i in (1, 2, 3):
-        m1, m2 = pl.bg_rotation_terms(i)
         for j in range(2, i + 1):
-            assert (
-                pl.eval_term(m1, zoo.bivalued_gustave(i, j - 1), WIDE)
-                == zoo.bivalued_gustave(i, j)
-            )
-            assert (
-                pl.eval_term(m2, zoo.bivalued_gustave(i, j), WIDE)
-                == zoo.bivalued_gustave(i, j - 1)
-            )
+            passed(terms, f"rotations exchange bg({i},{j - 1}) and bg({i},{j})")
     for i in (1, 2):
-        g = zoo.gustave(i)
-        assert pl.eval_term(pl.mono_to_det_term(g), zoo.ntdet(2 * i + 1), WIDE) == g
+        passed(terms, f"detector synthesis rebuilds gustave_i({i})")
     done(7, "step, rotation and detector-synthesis terms replay exactly")
 
 
-def test_criterion_08_mapping_incompleteness_regression():
-    assert pl.bm_search(zoo.por(3), zoo.por(2), CFG) is None
+def test_criterion_08_mapping_incompleteness_regression(hierarchies, terms):
+    rows, _ = hierarchies
+    passed(rows, "no mapping por_i(3) -> por_i(2); comparison stays unknown")
     verdict = pl.compare(zoo.por(3), zoo.por(2), CFG)
     assert verdict.relation == "unknown"
     for cert in verdict.evidence:
         if cert.kind == "separation":
             # the only separation allowed is right-not-below-left
             assert cert.source == zoo.por(2) and cert.target == zoo.por(3)
-    # the positive direction is recovered by the term route (criterion 7)
-    with_terms = pl.compare(zoo.por(3), zoo.por(2), CFG, allow_terms=True)
-    assert with_terms.relation == "left_below_strict"
+    # the positive direction is recovered by the term route
+    passed(terms, "term route resolves por_i(3) vs por_i(2) as strictly below")
     done(8, "no mapping, no fake negative; comparison honestly unknown")
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from parlevel.cli import main
 
 
@@ -52,6 +54,24 @@ def test_analyze_reports_trace_errors(capsys, tmp_path):
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "nope.trace")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "zoo:bp", "zoo:ttdet", "--relations", "{missing}"),
+        ("invariance", "zoo:bp", "--relations", "{missing}"),
+        ("term", "{missing}", "--oracle", "zoo:por_i(2)"),
+        ("analyze", "{dir}"),
+    ],
+    ids=["compare-relations", "invariance-relations", "term-file", "analyze-dir"],
+)
+def test_unreadable_input_is_input_error(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing.txt", "dir": tmp_path}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_compare_resolved_exit_zero(capsys):

@@ -1,25 +1,37 @@
-"""Coefficients, levels, the invariance prediction, classification, and
-the exhaustive enumeration oracle."""
+"""Coefficients, levels, the invariance prediction, classification, the
+exhaustive enumeration oracle, and the coherent-subset scan against a
+plain combinations oracle on random traces."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlevel import (
     BoundExceededError,
+    BOT,
+    FF,
     INF,
+    TT,
     ExtNat,
     PLevel,
     PreseqRel,
+    TraceEntry,
+    TriTuple,
     bcc,
     cc,
     classify,
+    compatible,
     enumerate_monotone,
     fn_sum,
     inexpressible_by_plevel,
+    is_coherent,
     is_m_sequential,
+    leq,
     neg,
     p_level,
     p_level_of_sum,
@@ -29,6 +41,7 @@ from parlevel import (
     validate_trace,
     zoo,
 )
+from parlevel.plevels import min_coherent_subset
 
 # brute-filter golden values: monotone total functions at arity 1 and 2
 MONOTONE_COUNT = {1: 11, 2: 197}
@@ -291,3 +304,80 @@ def test_empty_trace_classifies():
     silent = validate_trace(2, [])
     rep = classify(silent)
     assert rep.sequential and not rep.monovalued and not rep.bivalued
+
+
+# ---------------------------------------------------------------------------
+# Coherent-subset scan against a plain oracle on random arity-3/4 traces
+# ---------------------------------------------------------------------------
+
+tri = st.sampled_from([BOT, TT, FF])
+# one undefined coordinate in five keeps random candidates mostly
+# incomparable, so traces often reach 8-12 entries
+mostly_defined = st.integers(0, 4).map(lambda n: (BOT, TT, FF, TT, FF)[n])
+
+
+def tuples_of(values, arity: int):
+    return st.lists(values, min_size=arity, max_size=arity).map(
+        lambda vs: TriTuple(tuple(vs))
+    )
+
+
+def plainly_coherent(rows) -> bool:
+    """Coherence by definition: at every coordinate some row is undefined
+    or all rows agree."""
+    if not rows:
+        return True
+    return all(
+        any(r.entries[c] == BOT for r in rows) or len({r.entries[c] for r in rows}) == 1
+        for c in range(rows[0].arity)
+    )
+
+
+def oracle_min_subset(fn, bivalued: bool):
+    for size in range(3 if bivalued else 2, fn.trace_size + 1):
+        for combo in itertools.combinations(fn.entries, size):
+            if bivalued and len({e.output for e in combo}) != 2:
+                continue
+            if plainly_coherent([e.input for e in combo]):
+                return tuple(e.input for e in combo)
+    return None
+
+
+@st.composite
+def random_traces(draw):
+    """Valid traces of arity 3 or 4 with up to 12 entries: candidates are
+    kept while they stay incomparable to every kept input and agree in
+    output with every compatible one."""
+    k = draw(st.sampled_from([3, 4]))
+    candidates = draw(
+        st.lists(
+            st.tuples(tuples_of(mostly_defined, k), st.sampled_from([TT, FF])),
+            min_size=6,
+            max_size=40,
+        )
+    )
+    kept: list[TraceEntry] = []
+    for x, out in candidates:
+        if len(kept) == 12:
+            break
+        if all(
+            not leq(x, e.input)
+            and not leq(e.input, x)
+            and (out == e.output or not compatible(x, e.input))
+            for e in kept
+        ):
+            kept.append(TraceEntry(x, out))
+    return validate_trace(k, kept)
+
+
+@settings(deadline=None)
+@given(random_traces())
+def test_min_coherent_subset_equals_combinations_oracle(fn):
+    for bivalued in (False, True):
+        assert min_coherent_subset(fn, bivalued) == oracle_min_subset(fn, bivalued)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(lambda k: st.lists(tuples_of(tri, k), max_size=8)))
+def test_is_coherent_equals_definition(rows):
+    assert is_coherent(rows) == plainly_coherent(rows)

@@ -104,9 +104,13 @@ def test_make_compositions():
 
 
 def test_make_errors():
-    for bad in ("", "unknown", "bg(1)", "por_i(1,2)", "bp+", "sum(bp)", "gustave_i(x)"):
+    for bad in ("", "unknown", "bg(1)", "por_i(1,2)", "bp+", "sum(bp)", "gustave_i(x)",
+                "bp)+(ttdet", "neg(bp))"):
         with pytest.raises(FormatError):
             zoo.make(bad)
+    for unbalanced in ("bp)+(ttdet", "neg(bp))", "sum(bp,ttdet))", "neg(bp"):
+        with pytest.raises(FormatError, match="unbalanced"):
+            zoo.make(unbalanced)
 
 
 def test_catalog_arity_filter():
