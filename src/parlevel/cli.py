@@ -2,6 +2,12 @@
 
 Exit codes: 0 resolved verdict / pass, 1 verification failures,
 2 unknown comparison verdict, 3 input error, 4 budget exceeded.
+
+An input over a fixed size bound (plevels.COHERENCE_BOUND,
+definability.MAPPING_BOUND, functions.RECURSION_BOUND,
+plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
+any other input error, since no flag moves those bounds.  Budget
+overruns exit 4 because `--budget` moves the budget.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ def _read(path: str) -> str:
         raise AnalysisError(f"cannot read {path}: {reason}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is an input error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise AnalysisError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_function(source: str) -> MonotoneFn:
     if source.startswith("zoo:"):
         return make(source[4:])
@@ -63,7 +77,7 @@ def _print_json(obj) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     fn = _load_function(args.input)
-    report = classify(fn, _config_from(args))
+    report = classify(fn)
     if args.json:
         _print_json(report.to_json_dict())
         return 0
@@ -86,8 +100,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         left, right, cfg, allow_terms=args.allow_terms, extra_relations=extra
     )
     if args.emit_cert:
-        Path(args.emit_cert).write_text(
-            json.dumps([c.to_json_dict() for c in verdict.evidence], indent=2) + "\n"
+        _write(
+            args.emit_cert,
+            json.dumps([c.to_json_dict() for c in verdict.evidence], indent=2) + "\n",
         )
     if args.json:
         _print_json(verdict.to_json_dict())
@@ -154,7 +169,7 @@ def cmd_term(args: argparse.Namespace) -> int:
         result = result.renamed(args.name)
     text = format_trace(result)
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     return 0
@@ -168,7 +183,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     fn = make(args.name)
     text = format_trace(fn)
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     return 0

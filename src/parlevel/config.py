@@ -1,4 +1,8 @@
-"""Search bounds and budgets, bundled so call sites can override them."""
+"""Search budgets a caller may set, bundled so call sites can override them.
+
+Fixed limits on input size (coherence, mapping, recursion and
+enumeration bounds) live beside their one check as module constants.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for every bounded search in the package.
+    """Knobs for the budgeted searches, one command-line flag each.
 
     budget            -- max states for one brute-force enumeration
                          (relation invariance: |R|^k; mapping search:
@@ -16,22 +20,11 @@ class SearchConfig:
                          separating relations
     table_bound       -- max arity for which a full 3^k table may be
                          materialized (term evaluation, table round trips)
-    coherence_bound   -- max trace size for coherence-coefficient subset
-                         enumeration
-    mapping_bound     -- max source trace size for trace-mapping checks
-    recursion_bound   -- max arity for the recursive sequentiality test
-    enumeration_bound -- max arity for exhaustive monotone-function streams
-    chunk             -- vectorized enumeration chunk size
     """
 
     budget: int = 10**8
     max_rel_arity: int = 5
     table_bound: int = 6
-    coherence_bound: int = 20
-    mapping_bound: int = 16
-    recursion_bound: int = 6
-    enumeration_bound: int = 2
-    chunk: int = 1 << 18
 
 
 DEFAULT_CONFIG = SearchConfig()

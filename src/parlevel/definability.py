@@ -57,59 +57,66 @@ class BMMapping:
         ]
 
 
-def check_bm(mapping: BMMapping, config: SearchConfig = DEFAULT_CONFIG) -> bool:
-    """Exact check over ALL source subsets (coherence is not closed
-    under subsets, so minimal subsets alone would not do)."""
-    src = mapping.source
-    m = src.trace_size
-    if m > config.mapping_bound:
-        raise BoundExceededError(
-            f"source trace size {m} above mapping bound {config.mapping_bound}"
-        )
-    splanes = bitplanes(src.inputs)
-    tplanes = bitplanes(mapping.target.inputs)
-    out_tt_mask = 0
-    for idx, e in enumerate(src.entries):
-        if e.output == TT:
-            out_tt_mask |= 1 << idx
-    target_out = [int(e.output) for e in mapping.target.entries]
+MAPPING_BOUND = 16  # largest source trace a mapping check or search takes
 
-    for mask in range(1, 1 << m):
-        if mask.bit_count() < 2:
-            continue
-        if not mask_coherent(mask, splanes):
-            continue
-        image = 0
+
+def _check_mapping_bound(source: MonotoneFn) -> None:
+    m = source.trace_size
+    if m > MAPPING_BOUND:
+        raise BoundExceededError(
+            f"source trace size {m} above mapping bound {MAPPING_BOUND}"
+        )
+
+
+def _coherent_masks(fn: MonotoneFn) -> list[list[int]]:
+    """Non-singleton coherent subsets of the trace as masks over entry
+    positions, grouped by their highest position."""
+    planes = bitplanes(fn.inputs)
+    by_max: list[list[int]] = [[] for _ in range(fn.trace_size)]
+    for mask in range(1 << fn.trace_size):
+        if mask.bit_count() >= 2 and mask_coherent(mask, planes):
+            by_max[mask.bit_length() - 1].append(mask)
+    return by_max
+
+
+def _images_ok(masks, assignment, src_out, tgt_out, tplanes) -> bool:
+    """The mapping condition on the given source masks: each image is a
+    coherent set of two or more target entries, and source entries with
+    different outputs keep different outputs.  `src_out`/`tgt_out` are
+    the trace outputs as ints, `tplanes` the target's bitplanes."""
+    for mask in masks:
+        image = outs_tt = outs_ff = 0
         bits = mask
         while bits:
             low = bits & -bits
-            image |= 1 << mapping.assignment[low.bit_length() - 1]
+            i = low.bit_length() - 1
+            t = assignment[i]
+            image |= 1 << t
+            if src_out[i] == TT:
+                outs_tt |= 1 << tgt_out[t]
+            else:
+                outs_ff |= 1 << tgt_out[t]
             bits ^= low
-        if image.bit_count() < 2:
+        if image.bit_count() < 2 or not mask_coherent(image, tplanes):
             return False
-        if not mask_coherent(image, tplanes):
+        if outs_tt & outs_ff:
             return False
-        tt_part = mask & out_tt_mask
-        ff_part = mask & ~out_tt_mask
-        if tt_part and ff_part:
-            outs_tt = {
-                target_out[mapping.assignment[i]]
-                for i in _bit_indices(tt_part)
-            }
-            outs_ff = {
-                target_out[mapping.assignment[i]]
-                for i in _bit_indices(ff_part)
-            }
-            if outs_tt & outs_ff:
-                return False
     return True
 
 
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _outputs(fn: MonotoneFn) -> list[int]:
+    return [int(e.output) for e in fn.entries]
+
+
+def check_bm(mapping: BMMapping) -> bool:
+    """Exact check over ALL source subsets (coherence is not closed
+    under subsets, so minimal subsets alone would not do)."""
+    src, tgt = mapping.source, mapping.target
+    _check_mapping_bound(src)
+    masks = [mask for group in _coherent_masks(src) for mask in group]
+    return _images_ok(
+        masks, mapping.assignment, _outputs(src), _outputs(tgt), bitplanes(tgt.inputs)
+    )
 
 
 def bm_search(
@@ -120,54 +127,25 @@ def bm_search(
     to already-assigned entries; the first hit is returned after a full
     re-verification.  None means no mapping exists (within the exact,
     exhaustive search) -- which licenses NO negative conclusion."""
+    _check_mapping_bound(f)
     m = f.trace_size
-    if m > config.mapping_bound:
-        raise BoundExceededError(
-            f"source trace size {m} above mapping bound {config.mapping_bound}"
-        )
     raw = g.trace_size**m
     if raw > config.budget:
         raise BudgetExceededError(raw, config.budget, what="mapping search")
 
-    splanes = bitplanes(f.inputs)
+    # a subset is checked once its highest entry is assigned
+    by_max = _coherent_masks(f)
     tplanes = bitplanes(g.inputs)
-    src_out = [int(e.output) for e in f.entries]
-    tgt_out = [int(e.output) for e in g.entries]
-
-    # coherent source subsets grouped by their highest entry index
-    by_max: list[list[int]] = [[] for _ in range(m)]
-    for mask in range(1, 1 << m):
-        if mask.bit_count() >= 2 and mask_coherent(mask, splanes):
-            by_max[mask.bit_length() - 1].append(mask)
-
+    src_out, tgt_out = _outputs(f), _outputs(g)
     assignment: list[int] = []
-
-    def consistent(depth: int) -> bool:
-        for mask in by_max[depth]:
-            image = 0
-            outs_tt = 0
-            outs_ff = 0
-            for i in _bit_indices(mask):
-                t = assignment[i]
-                image |= 1 << t
-                if src_out[i] == 1:
-                    outs_tt |= 1 << tgt_out[t]
-                else:
-                    outs_ff |= 1 << tgt_out[t]
-            if image.bit_count() < 2:
-                return False
-            if not mask_coherent(image, tplanes):
-                return False
-            if outs_tt and outs_ff and (outs_tt & outs_ff):
-                return False
-        return True
 
     def dfs(depth: int) -> bool:
         if depth == m:
             return True
+        masks = by_max[depth]
         for t in range(g.trace_size):
             assignment.append(t)
-            if consistent(depth) and dfs(depth + 1):
+            if _images_ok(masks, assignment, src_out, tgt_out, tplanes) and dfs(depth + 1):
                 return True
             assignment.pop()
         return False
@@ -175,14 +153,12 @@ def bm_search(
     if not dfs(0):
         return None
     mapping = BMMapping(f, g, tuple(assignment))
-    if not check_bm(mapping, config):
+    if not check_bm(mapping):
         raise SoundnessError("search produced a mapping that fails the full check")
     return mapping
 
 
-def cofinal_witness(
-    fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
-) -> tuple[int, BMMapping]:
+def cofinal_witness(fn: MonotoneFn) -> tuple[int, BMMapping]:
     """For a stable non-sequential function, the cyclic monovalued
     function indexed by the coherence coefficient maps onto a minimal
     coherent trace subset; returns that index and the verified mapping."""
@@ -190,12 +166,12 @@ def cofinal_witness(
 
     if not is_stable(fn):
         raise InapplicableError("construction applies to stable functions only")
-    c = cc(fn, config)
+    c = cc(fn)
     if c == INF:
         raise InapplicableError("function is sequential; nothing to witness")
     from .plevels import min_coherent_subset
 
-    subset = min_coherent_subset(fn, bivalued=False, config=config)
+    subset = min_coherent_subset(fn, bivalued=False)
     assert subset is not None
     index = len(subset)
     source = gustave(index)
@@ -206,7 +182,7 @@ def cofinal_witness(
         subset_idx[s % len(subset_idx)] for s in range(source.trace_size)
     )
     mapping = BMMapping(source, fn, assignment)
-    if not check_bm(mapping, config):
+    if not check_bm(mapping):
         raise SoundnessError("cofinal mapping failed verification")
     return index, mapping
 

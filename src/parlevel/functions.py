@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import (
     ArityMismatchError,
     BoundExceededError,
@@ -264,12 +263,15 @@ def is_bivalued(fn: MonotoneFn) -> bool:
     return len(set(fn.outputs)) == 2
 
 
-def is_m_sequential(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> bool:
+RECURSION_BOUND = 6  # largest arity the recursive sequentiality test takes
+
+
+def is_m_sequential(fn: MonotoneFn) -> bool:
     """Recursive sequentiality: constant, or some argument index is
     strict and every way of fixing it leaves a sequential residual."""
-    if fn.arity > config.recursion_bound:
+    if fn.arity > RECURSION_BOUND:
         raise BoundExceededError(
-            f"arity {fn.arity} above recursion bound {config.recursion_bound}"
+            f"arity {fn.arity} above recursion bound {RECURSION_BOUND}"
         )
     return _mseq_table(table_of(fn), fn.arity)
 

@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError
 from .functions import (
     MonotoneFn,
@@ -121,17 +120,18 @@ class PLevel:
 # Coherence coefficients
 # ---------------------------------------------------------------------------
 
-def min_coherent_subset(
-    fn: MonotoneFn, bivalued: bool, config: SearchConfig = DEFAULT_CONFIG
-) -> tuple[TriTuple, ...] | None:
+COHERENCE_BOUND = 20  # largest trace the coherent-subset scan takes
+
+
+def min_coherent_subset(fn: MonotoneFn, bivalued: bool) -> tuple[TriTuple, ...] | None:
     """Smallest coherent subset of the trace inputs (bivalued on demand),
     searched in increasing size so the first hit is minimal.  None when
     no qualifying subset exists.
     """
     m = fn.trace_size
-    if m > config.coherence_bound:
+    if m > COHERENCE_BOUND:
         raise BoundExceededError(
-            f"trace size {m} above coherence bound {config.coherence_bound}"
+            f"trace size {m} above coherence bound {COHERENCE_BOUND}"
         )
     entries = fn.entries
     planes = bitplanes(fn.inputs)
@@ -149,20 +149,20 @@ def min_coherent_subset(
     return None
 
 
-def cc(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> ExtNat:
+def cc(fn: MonotoneFn) -> ExtNat:
     """Size of the smallest non-singleton coherent trace subset."""
-    subset = min_coherent_subset(fn, bivalued=False, config=config)
+    subset = min_coherent_subset(fn, bivalued=False)
     return INF if subset is None else ExtNat(len(subset))
 
 
-def bcc(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> ExtNat:
+def bcc(fn: MonotoneFn) -> ExtNat:
     """Size of the smallest coherent bivalued trace subset (>= 3)."""
-    subset = min_coherent_subset(fn, bivalued=True, config=config)
+    subset = min_coherent_subset(fn, bivalued=True)
     return INF if subset is None else ExtNat(len(subset))
 
 
-def p_level(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> PLevel:
-    return PLevel(bcc(fn, config) - 1, cc(fn, config) - 1)
+def p_level(fn: MonotoneFn) -> PLevel:
+    return PLevel(bcc(fn) - 1, cc(fn) - 1)
 
 
 def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
@@ -180,9 +180,7 @@ def p_level_of_sum(pf: PLevel, pg: PLevel) -> PLevel:
     return PLevel(ext_min(pf.i, pg.i), ext_min(pf.j, pg.j))
 
 
-def inexpressible_by_plevel(
-    left: MonotoneFn, right: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
-) -> frozenset[str]:
+def inexpressible_by_plevel(left: MonotoneFn, right: MonotoneFn) -> frozenset[str]:
     """Level-comparison fast path.  Returns any of
     'left_not_below_right' / 'right_not_below_left'.
 
@@ -190,8 +188,8 @@ def inexpressible_by_plevel(
     function: when the left level exceeds the right one in some
     coordinate, the left function respects a relation the right one
     breaks, so the right one cannot be defined from it."""
-    pl = p_level(left, config)
-    pr = p_level(right, config)
+    pl = p_level(left)
+    pr = p_level(right)
     claims = set()
     if pl.i > pr.i or pl.j > pr.j:
         claims.add("right_not_below_left")
@@ -249,14 +247,14 @@ class ClassReport:
         }
 
 
-def classify(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> ClassReport:
+def classify(fn: MonotoneFn) -> ClassReport:
     """Everything here is read off (cc, bcc) and the trace outputs; no
     relation searches are run.  Sequential means no coherent subset at
     all; stable means no coherent pair; the two complete-degree aliases
     are the (2,2) and (inf,1) levels.  The (2,1) level is reported as
     stable_dominating only, without an alias."""
-    c = cc(fn, config)
-    b = bcc(fn, config)
+    c = cc(fn)
+    b = bcc(fn)
     level = PLevel(b - 1, c - 1)
     sequential = c.is_infinite
     stable = c >= 3
@@ -288,14 +286,15 @@ def classify(fn: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG) -> ClassRepo
 # Exhaustive enumeration (oracle support)
 # ---------------------------------------------------------------------------
 
-def enumerate_monotone(
-    arity: int, config: SearchConfig = DEFAULT_CONFIG
-) -> Iterator[MonotoneFn]:
+ENUMERATION_BOUND = 2  # largest arity enumerate_monotone streams
+
+
+def enumerate_monotone(arity: int) -> Iterator[MonotoneFn]:
     """Every monotone total function of the given arity, exactly once,
     as traces, in table-lexicographic order."""
-    if arity > config.enumeration_bound:
+    if arity > ENUMERATION_BOUND:
         raise BoundExceededError(
-            f"arity {arity} above enumeration bound {config.enumeration_bound}"
+            f"arity {arity} above enumeration bound {ENUMERATION_BOUND}"
         )
     size = 3**arity
     for vals in itertools.product((0, 1, 2), repeat=size):

@@ -209,6 +209,9 @@ class InvarianceWitness:
         return computed == self.output and not self.relation.member(self.output)
 
 
+CHUNK = 1 << 18  # row selections decoded per vectorized block
+
+
 def invariance_counterexample(
     fn: MonotoneFn, rel: Relation, config: SearchConfig = DEFAULT_CONFIG
 ) -> InvarianceWitness | None:
@@ -227,8 +230,8 @@ def invariance_counterexample(
     tbl = np.asarray(table_of(fn), dtype=np.int8)
     mem32 = mem.astype(np.int32)
     weights = [m ** (k - 1 - slot) for slot in range(k)]
-    for start in range(0, required, config.chunk):
-        stop = min(start + config.chunk, required)
+    for start in range(0, required, CHUNK):
+        stop = min(start + CHUNK, required)
         sel = np.arange(start, stop, dtype=np.int64)
         codes = np.zeros((stop - start, n), dtype=np.int32)
         for slot in range(k):
@@ -293,9 +296,7 @@ def _columns_to_witness_rows(
     return InvarianceWitness(rel, rows, out)
 
 
-def constructed_witness(
-    fn: MonotoneFn, rel: PreseqRel, config: SearchConfig = DEFAULT_CONFIG
-) -> InvarianceWitness | None:
+def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | None:
     """Build a counterexample for a canonical relation directly from a
     minimal coherent (or coherent bivalued) trace subset, then replay it.
 
@@ -319,7 +320,7 @@ def constructed_witness(
     else:
         return None
 
-    subset = min_coherent_subset(fn, bivalued=want_bivalued, config=config)
+    subset = min_coherent_subset(fn, bivalued=want_bivalued)
     if subset is None or len(subset) > pad_to:
         return None
     columns = list(subset)
@@ -350,8 +351,8 @@ def find_separating_relation(
     from .plevels import p_level, predict_invariant  # local: import cycle
 
     skipped: list[str] = []
-    pl = p_level(left, config)
-    pr = p_level(right, config)
+    pl = p_level(left)
+    pr = p_level(right)
 
     candidates: list[PreseqRel] = []
     if pl.i < pr.i:
@@ -360,19 +361,12 @@ def find_separating_relation(
         candidates.append(canonical_strict(int(pl.j) + 1))
 
     for rel in candidates:
-        witness = constructed_witness(left, rel, config)
+        witness = constructed_witness(left, rel)
         if witness is None:
-            try:
-                found = invariance_counterexample(left, rel, config)
-            except BudgetExceededError as exc:
-                skipped.append(f"{rel}: witness search skipped ({exc})")
-                continue
-            if found is None:
-                raise SoundnessError(
-                    f"{left.label} predicted non-invariant under {rel} "
-                    "but no counterexample exists"
-                )
-            witness = found
+            raise SoundnessError(
+                f"{left.label} predicted non-invariant under {rel} "
+                "but the constructed witness does not replay"
+            )
         states = len(member_matrix(rel)) ** right.arity
         if states <= config.budget:
             if not is_invariant(right, rel, config):

@@ -81,14 +81,14 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     out: list[CheckResult] = []
     for name, i, j in GOLDEN_LEVELS:
         fn = make(name)
-        got = p_level(fn, config)
+        got = p_level(fn)
         want = _lv(i, j)
         out.append(
             CheckResult(f"level[{name}] = {want}", got == want, f"got {got}")
         )
     for name, alias in (("bg(1,1)", "BP"), ("det", "DET"), ("ttdet", "DET"),
                         ("ntdet(2)", "DET"), ("ntdet(3)", "DET")):
-        rep = classify(make(name), config)
+        rep = classify(make(name))
         out.append(
             CheckResult(
                 f"alias[{name}] = {alias}",
@@ -96,7 +96,7 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
                 f"got {rep.degree_alias}",
             )
         )
-    rep = classify(make("por_i(2)"), config)
+    rep = classify(make("por_i(2)"))
     out.append(
         CheckResult(
             "por_i(2): stable-dominating, no alias",
@@ -107,15 +107,15 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     for left, right in SUM_PAIRS:
         f, g = make(left), make(right)
         s = fn_sum(f, g)
-        want = p_level_of_sum(p_level(f, config), p_level(g, config))
-        got = p_level(s, config)
+        want = p_level_of_sum(p_level(f), p_level(g))
+        got = p_level(s)
         out.append(
             CheckResult(
                 f"sum level[{left} + {right}] = {want}", got == want, f"got {got}"
             )
         )
     for fn in catalog(max_arity=5):
-        same = p_level(neg(fn), config) == p_level(fn, config)
+        same = p_level(neg(fn)) == p_level(fn)
         out.append(CheckResult(f"negation keeps level[{fn.name}]", same))
     out.extend(verify_zoo_invariants(config))
     return out
@@ -136,8 +136,8 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     mismatches = 0
     total = 0
     for arity in (1, 2):
-        for fn in enumerate_monotone(arity, config):
-            level = p_level(fn, config)
+        for fn in enumerate_monotone(arity):
+            level = p_level(fn)
             for rel in rels:
                 total += 1
                 if predict_invariant(level, rel) != is_invariant(fn, rel, config):
@@ -202,11 +202,11 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     seq_bad = 0
     seq_total = 0
     for arity in (1, 2):
-        for fn in enumerate_monotone(arity, config):
+        for fn in enumerate_monotone(arity):
             seq_total += 1
-            recursive = is_m_sequential(fn, config)
-            coherencefree = cc(fn, config) == INF
-            top = p_level(fn, config) == PLevel(INF, INF)
+            recursive = is_m_sequential(fn)
+            coherencefree = cc(fn) == INF
+            top = p_level(fn) == PLevel(INF, INF)
             if not (recursive == coherencefree == top):
                 seq_bad += 1
     out.append(
@@ -233,7 +233,7 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
                     found is not None
                     and found.witness.verify(low)
                     and "left_not_below_right"
-                    in inexpressible_by_plevel(low, high, config)
+                    in inexpressible_by_plevel(low, high)
                     and (
                         found.invariant_method == "brute"
                         or found.invariant_states > config.budget

@@ -261,19 +261,19 @@ def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckRe
         g = gustave(i)
         check(
             f"gustave_i({i}) trace size and coefficient",
-            g.trace_size == 2 * i + 1 and cc(g, config) == ExtNat(2 * i + 1),
+            g.trace_size == 2 * i + 1 and cc(g) == ExtNat(2 * i + 1),
         )
         check(f"gustave_i({i}) stable and monovalued",
               is_stable(g) and len(set(g.outputs)) == 1)
         check(
             f"gustave_i({i}) level (inf, {2 * i})",
-            p_level(g, config) == PLevel(INF, ExtNat(2 * i)),
+            p_level(g) == PLevel(INF, ExtNat(2 * i)),
         )
         for j in range(1, i + 1):
             h = bivalued_gustave(i, j)
             check(
                 f"bg({i},{j}) level ({2 * i}, {2 * i})",
-                p_level(h, config) == PLevel(ExtNat(2 * i), ExtNat(2 * i)),
+                p_level(h) == PLevel(ExtNat(2 * i), ExtNat(2 * i)),
             )
             check(f"bg({i},{j}) stable", is_stable(h))
 
@@ -281,17 +281,17 @@ def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckRe
         p = por(i)
         check(
             f"por_i({i}) level ({i}, 1)",
-            p_level(p, config) == PLevel(ExtNat(i), ExtNat(1))
-            and bcc(p, config) == ExtNat(i + 1),
+            p_level(p) == PLevel(ExtNat(i), ExtNat(1))
+            and bcc(p) == ExtNat(i + 1),
         )
         check(f"por_i({i}) unstable", not is_stable(p))
 
-    check("bp level (2, 2)", p_level(bp(), config) == PLevel(ExtNat(2), ExtNat(2)))
+    check("bp level (2, 2)", p_level(bp()) == PLevel(ExtNat(2), ExtNat(2)))
     check("bp stable", is_stable(bp()))
     for fn in (det(), ttdet()):
         check(
             f"{fn.name} level (inf, 1)",
-            p_level(fn, config) == PLevel(INF, ExtNat(1)),
+            p_level(fn) == PLevel(INF, ExtNat(1)),
         )
         check(f"{fn.name} unstable", not is_stable(fn))
     check(
@@ -301,7 +301,7 @@ def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckRe
     )
     check(
         "lsand sequential",
-        p_level(left_strict_and(), config) == PLevel(INF, INF),
+        p_level(left_strict_and()) == PLevel(INF, INF),
     )
     for fn in catalog():
         try:

@@ -71,7 +71,7 @@ def passed(rows, name: str):
 def test_criterion_01_zoo_level_golden_table():
     start = time.time()
     for name, i, j in GOLDEN_LEVELS:
-        got = pl.p_level(zoo.make(name), CFG)
+        got = pl.p_level(zoo.make(name))
         assert got == lv(i, j), f"{name}: {got} != {lv(i, j)}"
     elapsed = time.time() - start
     assert elapsed < 1.0, f"golden table took {elapsed:.2f}s"
@@ -163,8 +163,8 @@ def test_criterion_09_sum_laws():
     for left, right in SUM_PAIRS:
         f, g = zoo.make(left), zoo.make(right)
         s = pl.fn_sum(f, g)
-        assert pl.p_level(s, CFG) == pl.p_level_of_sum(
-            pl.p_level(f, CFG), pl.p_level(g, CFG)
+        assert pl.p_level(s) == pl.p_level_of_sum(
+            pl.p_level(f), pl.p_level(g)
         ), (left, right)
         assert pl.bm_search(f, s, CFG) is not None, (left, right)
         assert pl.bm_search(g, s, CFG) is not None, (left, right)
@@ -174,13 +174,13 @@ def test_criterion_09_sum_laws():
 def test_criterion_10_equiparallelism_checks():
     assert pl.bm_search(zoo.det(), zoo.ttdet(), CFG) is not None
     assert pl.bm_search(zoo.ttdet(), zoo.det(), CFG) is not None
-    assert pl.classify(zoo.bivalued_gustave(1, 1), CFG).degree_alias == "BP"
+    assert pl.classify(zoo.bivalued_gustave(1, 1)).degree_alias == "BP"
     detector_level = lv("inf", 1)
     for fn in zoo.catalog():
-        rep = pl.classify(fn, CFG)
+        rep = pl.classify(fn)
         if rep.plevel == detector_level:
             assert rep.degree_alias == "DET", fn.name
     # sums landing on the detector level are aliased too
-    rep = pl.classify(zoo.make("gustave+ttdet"), CFG)
+    rep = pl.classify(zoo.make("gustave+ttdet"))
     assert rep.plevel == detector_level and rep.degree_alias == "DET"
     done(10, "detector degree aliased everywhere it appears; bg(1,1) is BP")

@@ -74,6 +74,33 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zoo", "emit", "bp", "-o", "{nodir}/bp.trace"),
+        ("term", "{termfile}", "--oracle", "zoo:por_i(2)", "-o", "{nodir}/out.trace"),
+        ("compare", "zoo:bp", "zoo:ttdet", "--emit-cert", "{nodir}/certs.json"),
+    ],
+    ids=["zoo-emit", "term-output", "compare-emit-cert"],
+)
+def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
+    termfile = tmp_path / "step.term"
+    termfile.write_text("arity 3\n(alleq (g x2 x3) (g x1 x3) (g x1 x2))\n")
+    paths = {"nodir": tmp_path / "missing", "termfile": termfile}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_coherence_bound_overrun_is_input_error(capsys, tmp_path):
+    path = tmp_path / "nt21.trace"
+    assert run(capsys, "zoo", "emit", "ntdet(21)", "-o", str(path))[0] == 0
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert "coherence bound" in err
+
+
 def test_compare_resolved_exit_zero(capsys):
     code, out, _ = run(capsys, "compare", "zoo:bg(2,1)", "zoo:bg(1,1)")
     assert code == 0

@@ -1,5 +1,6 @@
 """Trace-mapping checks, mapping search, the cofinal construction, and
-the comparison engine."""
+the comparison engine; the mapping check and search against a check
+written by definition on random traces."""
 
 from __future__ import annotations
 
@@ -7,9 +8,14 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlevel import (
+    FF,
+    TT,
     BMMapping,
+    BoundExceededError,
     BudgetExceededError,
     DEFAULT_CONFIG,
     InapplicableError,
@@ -24,6 +30,7 @@ from parlevel import (
 )
 from parlevel.relations import InvarianceWitness
 from parlevel import TriTuple
+from test_plevels import plainly_coherent, random_traces
 
 
 def identity_mapping(fn):
@@ -95,6 +102,15 @@ def test_bm_search_budget():
     tiny = dataclasses.replace(DEFAULT_CONFIG, budget=3)
     with pytest.raises(BudgetExceededError):
         bm_search(zoo.gustave(1), zoo.bp(), tiny)
+
+
+def test_mapping_bound_error():
+    big = zoo.ntdet(17)
+    with pytest.raises(BoundExceededError, match="mapping bound 16"):
+        check_bm(identity_mapping(big))
+    # the bound is checked before the budget
+    with pytest.raises(BoundExceededError, match="mapping bound 16"):
+        bm_search(big, big)
 
 
 def test_cofinal_witness_examples():
@@ -170,3 +186,69 @@ def test_mapping_certificate_payload():
     cert = mapping_certificate(m)
     assert cert.kind == "bm_mapping"
     assert cert.claim() == "ttdet is definable from det"
+
+
+# ---------------------------------------------------------------------------
+# Mapping check and search against the condition written by definition
+# ---------------------------------------------------------------------------
+
+def check_bm_by_definition(mapping) -> bool:
+    """Every non-singleton coherent subset of source entries has a
+    coherent image of two or more target entries, and no target output
+    is reached from source entries of both outputs."""
+    src, tgt, assignment = mapping.source, mapping.target, mapping.assignment
+    for size in range(2, src.trace_size + 1):
+        for combo in itertools.combinations(range(src.trace_size), size):
+            if not plainly_coherent([src.entries[i].input for i in combo]):
+                continue
+            image = {assignment[i] for i in combo}
+            if len(image) < 2:
+                return False
+            if not plainly_coherent([tgt.entries[t].input for t in image]):
+                return False
+            reached = {
+                out: {
+                    tgt.entries[assignment[i]].output
+                    for i in combo
+                    if src.entries[i].output == out
+                }
+                for out in (TT, FF)
+            }
+            if reached[TT] & reached[FF]:
+                return False
+    return True
+
+
+source_traces = random_traces(arities=(3,), max_entries=6)
+
+
+@settings(deadline=None)
+@given(source_traces, random_traces(arities=(3, 4), max_entries=6), st.data())
+def test_check_bm_equals_definition(src, tgt, data):
+    # random_traces always keeps its first candidate, so tgt is not empty
+    index = st.integers(0, tgt.trace_size - 1)
+    size = src.trace_size
+    assignment = tuple(data.draw(st.lists(index, min_size=size, max_size=size)))
+    mapping = BMMapping(src, tgt, assignment)
+    assert check_bm(mapping) == check_bm_by_definition(mapping)
+
+
+@settings(deadline=None)
+@given(source_traces, random_traces(arities=(3, 4), max_entries=6))
+def test_bm_search_hit_passes_definition(src, tgt):
+    """A hit passes the definition; on small spaces the search returns
+    the first passing assignment in lexicographic order, or None when
+    none passes."""
+    mapping = bm_search(src, tgt)
+    if mapping is not None:
+        assert check_bm_by_definition(mapping)
+    if tgt.trace_size**src.trace_size <= 4096:
+        first = next(
+            (
+                a
+                for a in itertools.product(range(tgt.trace_size), repeat=src.trace_size)
+                if check_bm_by_definition(BMMapping(src, tgt, a))
+            ),
+            None,
+        )
+        assert (None if mapping is None else mapping.assignment) == first

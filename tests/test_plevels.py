@@ -1,6 +1,7 @@
 """Coefficients, levels, the invariance prediction, classification, the
-exhaustive enumeration oracle, and the coherent-subset scan against a
-plain combinations oracle on random traces."""
+exhaustive enumeration oracle, and, on random traces, the coherent-subset
+scan against a plain combinations oracle and the constructed witnesses
+by replay."""
 
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from parlevel import (
     TraceEntry,
     TriTuple,
     bcc,
+    canonical_equal,
+    canonical_strict,
     cc,
     classify,
     compatible,
@@ -42,6 +45,7 @@ from parlevel import (
     zoo,
 )
 from parlevel.plevels import min_coherent_subset
+from parlevel.relations import constructed_witness
 
 # brute-filter golden values: monotone total functions at arity 1 and 2
 MONOTONE_COUNT = {1: 11, 2: 197}
@@ -103,12 +107,9 @@ def test_p_level_golden():
 
 
 def test_coherence_bound_error():
-    import dataclasses
-    from parlevel import DEFAULT_CONFIG
-
-    tiny = dataclasses.replace(DEFAULT_CONFIG, coherence_bound=2)
-    with pytest.raises(BoundExceededError):
-        cc(zoo.bp(), tiny)
+    assert cc(zoo.ntdet(20)) == ExtNat(2)  # the bound itself is accepted
+    with pytest.raises(BoundExceededError, match="coherence bound 20"):
+        cc(zoo.ntdet(21))
 
 
 def test_predict_invariant_examples():
@@ -280,7 +281,7 @@ def test_level_criterion_on_sampled_arity3():
     """The exhaustive oracle equivalence holds at arity 2; spot-check the
     same agreement on seeded random arity-3 functions, where exhaustive
     enumeration is out of reach."""
-    from parlevel import canonical_equal, canonical_strict, is_invariant
+    from parlevel import is_invariant
 
     relations = [canonical_equal(m) for m in (2, 3, 4)] + [
         canonical_strict(m) for m in (1, 2, 3)
@@ -344,11 +345,11 @@ def oracle_min_subset(fn, bivalued: bool):
 
 
 @st.composite
-def random_traces(draw):
-    """Valid traces of arity 3 or 4 with up to 12 entries: candidates are
-    kept while they stay incomparable to every kept input and agree in
-    output with every compatible one."""
-    k = draw(st.sampled_from([3, 4]))
+def random_traces(draw, arities=(3, 4), max_entries=12):
+    """Valid traces of the given arities with up to `max_entries` entries:
+    candidates are kept while they stay incomparable to every kept input
+    and agree in output with every compatible one."""
+    k = draw(st.sampled_from(arities))
     candidates = draw(
         st.lists(
             st.tuples(tuples_of(mostly_defined, k), st.sampled_from([TT, FF])),
@@ -358,7 +359,7 @@ def random_traces(draw):
     )
     kept: list[TraceEntry] = []
     for x, out in candidates:
-        if len(kept) == 12:
+        if len(kept) == max_entries:
             break
         if all(
             not leq(x, e.input)
@@ -381,3 +382,15 @@ def test_min_coherent_subset_equals_combinations_oracle(fn):
 @given(st.sampled_from([3, 4]).flatmap(lambda k: st.lists(tuples_of(tri, k), max_size=8)))
 def test_is_coherent_equals_definition(rows):
     assert is_coherent(rows) == plainly_coherent(rows)
+
+
+@settings(deadline=None)
+@given(random_traces())
+def test_constructed_witnesses_replay(fn):
+    """The witness built from a minimal coherent (bivalued) subset breaks
+    the canonical relation at the coefficient, whenever it is finite."""
+    for coefficient, family in ((bcc(fn), canonical_equal), (cc(fn), canonical_strict)):
+        if coefficient.is_infinite:
+            continue
+        witness = constructed_witness(fn, family(int(coefficient)))
+        assert witness is not None and witness.verify(fn)

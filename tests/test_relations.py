@@ -15,6 +15,7 @@ from parlevel import (
     FormatError,
     PreseqRel,
     SeqRel,
+    SoundnessError,
     TriTuple,
     canonical_equal,
     canonical_strict,
@@ -176,6 +177,14 @@ def test_find_separating_relation_golden():
     assert out.found is not None
     assert out.found.relation == rel(4, {1, 2, 3}, {1, 2, 3, 4})
     assert out.found.witness.verify(zoo.gustave(1))
+
+
+def test_level_candidate_without_replaying_witness_is_unsound(monkeypatch):
+    import parlevel.relations
+
+    monkeypatch.setattr(parlevel.relations, "constructed_witness", lambda fn, rel: None)
+    with pytest.raises(SoundnessError, match="does not replay"):
+        find_separating_relation(zoo.gustave(1), zoo.gustave(2))
 
 
 def test_find_separating_relation_self_is_none():
