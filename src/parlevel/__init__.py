@@ -62,7 +62,6 @@ from .lattice import (
 from .plevels import (
     INF,
     ClassReport,
-    ExtNat,
     PLevel,
     bcc,
     cc,
@@ -71,7 +70,6 @@ from .plevels import (
     inexpressible_by_plevel,
     p_level,
     p_level_of_sum,
-    predict_invariant,
 )
 from .relations import (
     InvarianceWitness,
@@ -90,6 +88,7 @@ from .relations import (
     is_invariant,
     parse_relation,
     parse_relation_file,
+    predict_invariant,
 )
 from .terms import (
     App,

@@ -26,13 +26,15 @@ from .errors import (
 )
 from .functions import MonotoneFn, is_stable
 from .lattice import TT, bitplanes, mask_coherent
-from .plevels import INF, cc
+from .plevels import min_coherent_subset
 from .relations import (
     Relation,
     Separation,
     find_separating_relation,
     format_relation,
 )
+from .terms import bg_rotation_terms, eval_term, format_term, inline_oracle, por_step_term
+from .zoo import bivalued_gustave, gustave, por
 
 
 @dataclass(frozen=True)
@@ -162,17 +164,11 @@ def cofinal_witness(fn: MonotoneFn) -> tuple[int, BMMapping]:
     """For a stable non-sequential function, the cyclic monovalued
     function indexed by the coherence coefficient maps onto a minimal
     coherent trace subset; returns that index and the verified mapping."""
-    from .zoo import gustave
-
     if not is_stable(fn):
         raise InapplicableError("construction applies to stable functions only")
-    c = cc(fn)
-    if c == INF:
-        raise InapplicableError("function is sequential; nothing to witness")
-    from .plevels import min_coherent_subset
-
     subset = min_coherent_subset(fn, bivalued=False)
-    assert subset is not None
+    if subset is None:
+        raise InapplicableError("function is sequential; nothing to witness")
     index = len(subset)
     source = gustave(index)
     subset_idx = [
@@ -272,9 +268,6 @@ def _try_term_route(
     """Template-based positive route for the known families whose
     definability proofs are explicit terms (the near-unanimity chain and
     the bivalued cyclic rotations)."""
-    from .terms import bg_rotation_terms, eval_term, format_term, inline_oracle, por_step_term
-    from .zoo import bivalued_gustave, por
-
     def as_por(fn: MonotoneFn) -> int | None:
         if fn.arity >= 2 and fn == por(fn.arity):
             return fn.arity

@@ -320,6 +320,12 @@ def format_trace(fn: MonotoneFn) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_ascii_number(text: str) -> bool:
+    """Only ASCII digits: str.isdigit() also takes superscript digits,
+    which int() then rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_trace(text: str) -> MonotoneFn:
     arity: int | None = None
     name: str | None = None
@@ -333,13 +339,13 @@ def parse_trace(text: str) -> MonotoneFn:
             if body.lower().startswith("name:"):
                 name = body[5:].strip()
             continue
-        if line.startswith("arity"):
+        words = line.split()
+        if words[0] == "arity":
             if arity is not None:
                 raise FormatError("duplicate arity line", lineno)
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(words) != 2 or not is_ascii_number(words[1]):
                 raise FormatError(f"bad arity line {line!r}", lineno)
-            arity = int(parts[1])
+            arity = int(words[1])
             if arity < 1:
                 raise FormatError("arity must be >= 1", lineno)
             continue

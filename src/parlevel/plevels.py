@@ -4,15 +4,16 @@ The level of a function is the pair (threshold for equal-index
 relations, threshold for strict-index relations); both are read off the
 trace: one less than the size of the smallest coherent bivalued subset,
 and one less than the size of the smallest non-singleton coherent
-subset, with infinity when no such subset exists.  The pair determines
-exactly which basic relations the function respects, which is what the
-prediction and classification routines exploit.
+subset, with infinity (`INF`, a plain float) when no such subset
+exists.  The pair determines exactly which basic relations the function
+respects (`relations.predict_invariant`); classification reads the same
+two coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,74 +26,13 @@ from .functions import (
     trace_from_table,
 )
 from .lattice import TT, TriTuple, bitplanes, mask_coherent
-from .relations import PreseqRel
 
 
-@functools.total_ordering
-class ExtNat:
-    """A natural number extended with a top element for 'no such subset'."""
-
-    __slots__ = ("finite",)
-
-    INF: "ExtNat"
-
-    def __init__(self, value: int | None):
-        if value is not None and value < 0:
-            raise ValueError("extended naturals are nonnegative")
-        object.__setattr__(self, "finite", value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite is None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        return self.finite == other.finite
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.finite < other.finite
-
-    def __hash__(self) -> int:
-        return hash(("ExtNat", self.finite))
-
-    def __add__(self, k: int) -> "ExtNat":
-        return self if self.is_infinite else ExtNat(self.finite + k)
-
-    def __sub__(self, k: int) -> "ExtNat":
-        return self if self.is_infinite else ExtNat(self.finite - k)
-
-    def __int__(self) -> int:
-        if self.is_infinite:
-            raise ValueError("infinite")
-        return self.finite
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else str(self.finite)
-
-    def __repr__(self) -> str:
-        return f"ExtNat({self.finite!r})"
-
-    def to_json(self) -> int | str:
-        return "inf" if self.is_infinite else self.finite
+INF = math.inf  # coefficient or level coordinate of "no such subset"
 
 
-ExtNat.INF = ExtNat(None)
-INF = ExtNat.INF
-
-
-def ext_min(a: ExtNat, b: ExtNat) -> ExtNat:
-    return a if a <= b else b
+def _json_num(value: int | float) -> int | str:
+    return "inf" if value == INF else value
 
 
 @dataclass(frozen=True)
@@ -100,8 +40,8 @@ class PLevel:
     """Invariance-level pair; first coordinate governs equal-index
     relations, second the strict-index ones."""
 
-    i: ExtNat
-    j: ExtNat
+    i: int | float
+    j: int | float
 
     def __post_init__(self):
         if self.i < 2 or self.j < 1:
@@ -110,7 +50,7 @@ class PLevel:
             raise ValueError(f"first coordinate below second: ({self.i}, {self.j})")
 
     def to_json(self) -> list:
-        return [self.i.to_json(), self.j.to_json()]
+        return [_json_num(self.i), _json_num(self.j)]
 
     def __str__(self) -> str:
         return f"({self.i}, {self.j})"
@@ -149,35 +89,25 @@ def min_coherent_subset(fn: MonotoneFn, bivalued: bool) -> tuple[TriTuple, ...] 
     return None
 
 
-def cc(fn: MonotoneFn) -> ExtNat:
+def cc(fn: MonotoneFn) -> int | float:
     """Size of the smallest non-singleton coherent trace subset."""
     subset = min_coherent_subset(fn, bivalued=False)
-    return INF if subset is None else ExtNat(len(subset))
+    return INF if subset is None else len(subset)
 
 
-def bcc(fn: MonotoneFn) -> ExtNat:
+def bcc(fn: MonotoneFn) -> int | float:
     """Size of the smallest coherent bivalued trace subset (>= 3)."""
     subset = min_coherent_subset(fn, bivalued=True)
-    return INF if subset is None else ExtNat(len(subset))
+    return INF if subset is None else len(subset)
 
 
 def p_level(fn: MonotoneFn) -> PLevel:
     return PLevel(bcc(fn) - 1, cc(fn) - 1)
 
 
-def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
-    """Invariance criterion for a basic relation, read off the level:
-    |A| = |B| at most the first coordinate, or |A| < |B| with |A| at
-    most the second."""
-    size_a, size_b = len(rel.a), len(rel.b)
-    if size_a == size_b:
-        return ExtNat(size_a) <= level.i
-    return ExtNat(size_a) <= level.j
-
-
 def p_level_of_sum(pf: PLevel, pg: PLevel) -> PLevel:
     """The join construction meets levels componentwise."""
-    return PLevel(ext_min(pf.i, pg.i), ext_min(pf.j, pg.j))
+    return PLevel(min(pf.i, pg.i), min(pf.j, pg.j))
 
 
 def inexpressible_by_plevel(left: MonotoneFn, right: MonotoneFn) -> frozenset[str]:
@@ -218,8 +148,8 @@ class ClassReport:
     name: str
     arity: int
     trace_size: int
-    cc: ExtNat
-    bcc: ExtNat
+    cc: int | float
+    bcc: int | float
     plevel: PLevel
     sequential: bool
     stable: bool
@@ -239,8 +169,8 @@ class ClassReport:
             "name": self.name,
             "arity": self.arity,
             "trace_size": self.trace_size,
-            "cc": self.cc.to_json(),
-            "bcc": self.bcc.to_json(),
+            "cc": _json_num(self.cc),
+            "bcc": _json_num(self.bcc),
             "plevel": self.plevel.to_json(),
             "classes": list(self.classes),
             "degree_alias": self.degree_alias,
@@ -256,11 +186,11 @@ def classify(fn: MonotoneFn) -> ClassReport:
     c = cc(fn)
     b = bcc(fn)
     level = PLevel(b - 1, c - 1)
-    sequential = c.is_infinite
+    sequential = c == INF
     stable = c >= 3
-    if level == PLevel(ExtNat(2), ExtNat(2)):
+    if level == PLevel(2, 2):
         alias = "BP"
-    elif level == PLevel(INF, ExtNat(1)):
+    elif level == PLevel(INF, 1):
         alias = "DET"
     else:
         alias = "none"
@@ -276,8 +206,8 @@ def classify(fn: MonotoneFn) -> ClassReport:
         unstable=not stable,
         monovalued=is_monovalued(fn),
         bivalued=is_bivalued(fn),
-        stable_dominating=level == PLevel(ExtNat(2), ExtNat(1)),
-        subsequential=b.is_infinite,
+        stable_dominating=level == PLevel(2, 1),
+        subsequential=b == INF,
         degree_alias=alias,
     )
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .functions import MonotoneFn, table_of
 from .lattice import BOT, Tri, TriTuple
+from .plevels import PLevel, min_coherent_subset, p_level
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,27 @@ def canonical_strict(m: int) -> PreseqRel:
     """S^{m+1} with A = {1..m} strictly inside B = {1..m+1}; invariance
     threshold for the second level coordinate."""
     return PreseqRel(m + 1, frozenset(range(1, m + 1)), frozenset(range(1, m + 2)))
+
+
+def basic_members(rel: PreseqRel) -> int:
+    """Member count of a basic relation in closed form, without
+    enumerating its 3^n tuples: the non-members have every A-coordinate
+    defined and B-coordinates not all equal.  For the canonical families
+    this is 3^m - 2^m + 2 (equal, m >= 1) and 3^(m+1) - 3*2^m + 2
+    (strict, m >= 1)."""
+    a, b = len(rel.a), len(rel.b)
+    all_equal = 1 if b == 0 else (2 if a else 3)
+    return 3**rel.n - 3 ** (rel.n - b) * (2**a * 3 ** (b - a) - all_equal)
+
+
+def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
+    """Invariance criterion for a basic relation, read off the level:
+    |A| = |B| at most the first coordinate, or |A| < |B| with |A| at
+    most the second."""
+    size_a, size_b = len(rel.a), len(rel.b)
+    if size_a == size_b:
+        return size_a <= level.i
+    return size_a <= level.j
 
 
 def canonicalize(rel: PreseqRel) -> PreseqRel:
@@ -217,11 +239,19 @@ def invariance_counterexample(
 ) -> InvarianceWitness | None:
     """Exhaustive search over all |R|^k row selections; None means
     invariant.  Raises BudgetExceededError before touching a search
-    whose state count is above the budget."""
-    mem = member_matrix(rel)
-    m = len(mem)
+    whose state count, or whose relation's 3^n tuples, are above the
+    budget; a basic relation's state count is known before enumerating
+    it, so that check comes first."""
     k = fn.arity
     n = rel.n
+    if isinstance(rel, PreseqRel):
+        required = basic_members(rel) ** k
+        if required > config.budget:
+            raise BudgetExceededError(required, config.budget, what="invariance check")
+    if 3**n > config.budget:
+        raise BudgetExceededError(3**n, config.budget, what="relation enumeration")
+    mem = member_matrix(rel)
+    m = len(mem)
     if m == 0:
         return None
     required = m**k
@@ -306,8 +336,6 @@ def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | N
     likewise, plus one final column holding the pointwise meet (the
     function is undefined there, breaking the all-equal clause).
     """
-    from .plevels import min_coherent_subset  # local: avoids an import cycle
-
     size_a, size_b = len(rel.a), len(rel.b)
     if rel.a != frozenset(range(1, size_a + 1)):
         return None
@@ -348,17 +376,15 @@ def find_separating_relation(
     arity; then any user-supplied relations.  A None outcome only means
     "no separator found within bounds" and never implies definability.
     """
-    from .plevels import p_level, predict_invariant  # local: import cycle
-
     skipped: list[str] = []
     pl = p_level(left)
     pr = p_level(right)
 
     candidates: list[PreseqRel] = []
     if pl.i < pr.i:
-        candidates.append(canonical_equal(int(pl.i) + 1))
+        candidates.append(canonical_equal(pl.i + 1))
     if pl.j < pr.j:
-        candidates.append(canonical_strict(int(pl.j) + 1))
+        candidates.append(canonical_strict(pl.j + 1))
 
     for rel in candidates:
         witness = constructed_witness(left, rel)
@@ -367,8 +393,8 @@ def find_separating_relation(
                 f"{left.label} predicted non-invariant under {rel} "
                 "but the constructed witness does not replay"
             )
-        states = len(member_matrix(rel)) ** right.arity
-        if states <= config.budget:
+        states = basic_members(rel) ** right.arity
+        if max(states, 3**rel.n) <= config.budget:
             if not is_invariant(right, rel, config):
                 raise SoundnessError(
                     f"{right.label} predicted invariant under {rel} "
@@ -376,8 +402,6 @@ def find_separating_relation(
                 )
             method = "brute"
         else:
-            if not predict_invariant(pr, rel):
-                continue
             skipped.append(
                 f"{rel}: invariant side needs {states} states "
                 f"(budget {config.budget}), justified by level instead"

@@ -1,7 +1,10 @@
 """Named verification suites behind the command-line `verify` command.
 
 Each suite replays a block of results at desk scale and returns one
-pass/fail row per check.  The heavy suite (lemmas) enumerates every
+pass/fail row per check.  The plevels suite checks the golden level
+table, the degree aliases, the sum and negation laws, and the zoo
+self-test (trace shapes, coefficients and stability the level table
+does not already pin down).  The heavy suite (lemmas) enumerates every
 monotone function of arity at most two and every basic relation of
 arity at most four, and takes about 13 s; the others take a second or
 two.  The acceptance tests drive these suites.
@@ -15,10 +18,9 @@ import itertools
 from .config import DEFAULT_CONFIG, SearchConfig
 from .definability import bm_search, compare
 from .errors import AnalysisError
-from .functions import fn_sum, is_m_sequential, neg
+from .functions import MonotoneFn, fn_sum, is_m_sequential, is_stable, neg
 from .plevels import (
     INF,
-    ExtNat,
     PLevel,
     cc,
     classify,
@@ -26,7 +28,6 @@ from .plevels import (
     inexpressible_by_plevel,
     p_level,
     p_level_of_sum,
-    predict_invariant,
 )
 from .relations import (
     PreseqRel,
@@ -37,25 +38,27 @@ from .relations import (
     find_separating_relation,
     invariance_counterexample,
     is_invariant,
+    predict_invariant,
 )
 from .terms import bg_rotation_terms, eval_term, mono_to_det_term, por_step_term
-from .zoo import CheckResult, bivalued_gustave, bp, catalog, gustave, make, ntdet, por
-from .zoo import verify_zoo_invariants
+from .zoo import bivalued_gustave, bp, catalog, det, gustave, make, ntdet, por, ttdet
 
 
-def _lv(i, j) -> PLevel:
-    conv = lambda v: INF if v == "inf" else ExtNat(v)
-    return PLevel(conv(i), conv(j))
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
 
 
-GOLDEN_LEVELS: list[tuple[str, object, object]] = (
+GOLDEN_LEVELS: list[tuple[str, int | float, int | float]] = (
     [("bp", 2, 2)]
-    + [(f"gustave_i({i})", "inf", 2 * i) for i in range(1, 5)]
+    + [(f"gustave_i({i})", INF, 2 * i) for i in range(1, 5)]
     + [(f"bg({i},{j})", 2 * i, 2 * i) for i in range(1, 5) for j in range(1, i + 1)]
     + [(f"por_i({i})", i, 1) for i in range(2, 7)]
-    + [("det", "inf", 1), ("ttdet", "inf", 1)]
+    + [("det", INF, 1), ("ttdet", INF, 1)]
     + [("bp+ttdet", 2, 1)]
-    + [("lsand", "inf", "inf")]
+    + [("lsand", INF, INF)]
 )
 
 SUM_PAIRS: list[tuple[str, str]] = [
@@ -82,7 +85,7 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     for name, i, j in GOLDEN_LEVELS:
         fn = make(name)
         got = p_level(fn)
-        want = _lv(i, j)
+        want = PLevel(i, j)
         out.append(
             CheckResult(f"level[{name}] = {want}", got == want, f"got {got}")
         )
@@ -119,6 +122,67 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         out.append(CheckResult(f"negation keeps level[{fn.name}]", same))
     out.extend(verify_zoo_invariants(config))
     return out
+
+
+GUSTAVE_MATRIX_1 = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+CYCLIC_MATRIX_1 = {(0, 1, 2), (2, 0, 1), (1, 2, 0)}
+CYCLIC_MATRIX_2 = {
+    (0, 1, 2, 1, 2),
+    (2, 0, 1, 2, 1),
+    (1, 2, 0, 1, 2),
+    (2, 1, 2, 0, 1),
+    (1, 2, 1, 2, 0),
+}
+
+
+def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+    """Self-test of every family against its stated trace shape,
+    coefficient and stability, beyond the levels GOLDEN_LEVELS checks;
+    failures are carried in the report."""
+    results: list[CheckResult] = []
+
+    def check(name: str, ok: bool) -> None:
+        results.append(CheckResult(name, bool(ok)))
+
+    def inputs_of(fn: MonotoneFn) -> set[tuple[int, ...]]:
+        return {tuple(int(v) for v in e.input.entries) for e in fn.entries}
+
+    check(
+        "cyclic closed form matches printed matrix i=1",
+        inputs_of(gustave(1)) == CYCLIC_MATRIX_1,
+    )
+    check(
+        "cyclic closed form matches printed matrix i=2",
+        inputs_of(gustave(2)) == CYCLIC_MATRIX_2,
+    )
+    check(
+        "three-row all-true matrix equals cyclic family at i=1",
+        inputs_of(gustave(1)) == GUSTAVE_MATRIX_1,
+    )
+
+    for i in range(1, 5):
+        g = gustave(i)
+        check(
+            f"gustave_i({i}) trace size and coefficient",
+            g.trace_size == 2 * i + 1 and cc(g) == 2 * i + 1,
+        )
+        check(f"gustave_i({i}) stable and monovalued",
+              is_stable(g) and len(set(g.outputs)) == 1)
+        for j in range(1, i + 1):
+            check(f"bg({i},{j}) stable", is_stable(bivalued_gustave(i, j)))
+
+    for i in range(2, 7):
+        check(f"por_i({i}) unstable", not is_stable(por(i)))
+
+    check("bp stable", is_stable(bp()))
+    for fn in (det(), ttdet()):
+        check(f"{fn.name} unstable", not is_stable(fn))
+    check(
+        "detector variants mutually definable by trace mappings",
+        bm_search(det(), ttdet(), config) is not None
+        and bm_search(ttdet(), det(), config) is not None,
+    )
+    return results
 
 
 def _canonical_relations() -> list[PreseqRel]:

@@ -16,7 +16,13 @@ from typing import Iterator, Union
 
 from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError, FormatError, InapplicableError, TermArityError
-from .functions import MonotoneFn, is_monovalued, table_of, trace_from_table
+from .functions import (
+    MonotoneFn,
+    is_ascii_number,
+    is_monovalued,
+    table_of,
+    trace_from_table,
+)
 from .lattice import BOT, FF, TT, Tri, all_tuples
 
 ORACLE = "g"
@@ -275,7 +281,7 @@ def _parse_node(tokens: list[str], pos: int) -> tuple[Node, int]:
         raise FormatError("unexpected ')'")
     if tok in _ATOM_CONSTS:
         return _ATOM_CONSTS[tok], pos + 1
-    if tok.startswith("x") and tok[1:].isdigit():
+    if tok.startswith("x") and is_ascii_number(tok[1:]):
         return Var(int(tok[1:])), pos + 1
     raise FormatError(f"bad token {tok!r}")
 
@@ -287,11 +293,11 @@ def parse_term(text: str) -> Term:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("arity") and arity is None:
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+        words = line.split()
+        if words[0] == "arity" and arity is None:
+            if len(words) != 2 or not is_ascii_number(words[1]):
                 raise FormatError(f"bad arity line {line!r}", lineno)
-            arity = int(parts[1])
+            arity = int(words[1])
             continue
         expr_lines.append(line)
     if arity is None or arity < 1:

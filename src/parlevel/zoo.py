@@ -2,17 +2,16 @@
 
 The cyclic families are generated from the parity closed form (row r
 puts the undefined value at coordinate r; off-diagonal entries alternate
-true/false by the parity of (column - row) modulo the arity); the tests
-pin this against hard-coded matrices for the two smallest instances.
+true/false by the parity of (column - row) modulo the arity); the
+plevels suite pins this against hard-coded matrices for the two smallest
+instances.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
-from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import FormatError
 from .functions import MonotoneFn, TraceEntry, fn_sum, neg, validate_trace
 from .lattice import Tri, TriTuple
@@ -205,108 +204,3 @@ def catalog(max_arity: int | None = None) -> list[MonotoneFn]:
     if max_arity is not None:
         fns = [f for f in fns if f.arity <= max_arity]
     return fns
-
-
-# ---------------------------------------------------------------------------
-# Self-test
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-GUSTAVE_MATRIX_1 = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-CYCLIC_MATRIX_1 = {(0, 1, 2), (2, 0, 1), (1, 2, 0)}
-CYCLIC_MATRIX_2 = {
-    (0, 1, 2, 1, 2),
-    (2, 0, 1, 2, 1),
-    (1, 2, 0, 1, 2),
-    (2, 1, 2, 0, 1),
-    (1, 2, 1, 2, 0),
-}
-
-
-def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
-    """Golden self-test of every family against its stated trace shape,
-    coefficients and level; failures are carried in the report."""
-    from .definability import bm_search  # local: avoids an import cycle
-    from .functions import is_stable
-    from .plevels import INF, ExtNat, PLevel, bcc, cc, p_level
-
-    results: list[CheckResult] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, bool(ok), detail))
-
-    def inputs_of(fn: MonotoneFn) -> set[tuple[int, ...]]:
-        return {tuple(int(v) for v in e.input.entries) for e in fn.entries}
-
-    check(
-        "cyclic closed form matches printed matrix i=1",
-        inputs_of(gustave(1)) == CYCLIC_MATRIX_1,
-    )
-    check(
-        "cyclic closed form matches printed matrix i=2",
-        inputs_of(gustave(2)) == CYCLIC_MATRIX_2,
-    )
-    check(
-        "three-row all-true matrix equals cyclic family at i=1",
-        inputs_of(gustave(1)) == GUSTAVE_MATRIX_1,
-    )
-
-    for i in range(1, 5):
-        g = gustave(i)
-        check(
-            f"gustave_i({i}) trace size and coefficient",
-            g.trace_size == 2 * i + 1 and cc(g) == ExtNat(2 * i + 1),
-        )
-        check(f"gustave_i({i}) stable and monovalued",
-              is_stable(g) and len(set(g.outputs)) == 1)
-        check(
-            f"gustave_i({i}) level (inf, {2 * i})",
-            p_level(g) == PLevel(INF, ExtNat(2 * i)),
-        )
-        for j in range(1, i + 1):
-            h = bivalued_gustave(i, j)
-            check(
-                f"bg({i},{j}) level ({2 * i}, {2 * i})",
-                p_level(h) == PLevel(ExtNat(2 * i), ExtNat(2 * i)),
-            )
-            check(f"bg({i},{j}) stable", is_stable(h))
-
-    for i in range(2, 7):
-        p = por(i)
-        check(
-            f"por_i({i}) level ({i}, 1)",
-            p_level(p) == PLevel(ExtNat(i), ExtNat(1))
-            and bcc(p) == ExtNat(i + 1),
-        )
-        check(f"por_i({i}) unstable", not is_stable(p))
-
-    check("bp level (2, 2)", p_level(bp()) == PLevel(ExtNat(2), ExtNat(2)))
-    check("bp stable", is_stable(bp()))
-    for fn in (det(), ttdet()):
-        check(
-            f"{fn.name} level (inf, 1)",
-            p_level(fn) == PLevel(INF, ExtNat(1)),
-        )
-        check(f"{fn.name} unstable", not is_stable(fn))
-    check(
-        "detector variants mutually definable by trace mappings",
-        bm_search(det(), ttdet(), config) is not None
-        and bm_search(ttdet(), det(), config) is not None,
-    )
-    check(
-        "lsand sequential",
-        p_level(left_strict_and()) == PLevel(INF, INF),
-    )
-    for fn in catalog():
-        try:
-            validate_trace(fn.arity, fn.entries, fn.name)
-            check(f"{fn.name} trace validates", True)
-        except Exception as exc:  # pragma: no cover - would be a build bug
-            check(f"{fn.name} trace validates", False, str(exc))
-    return results

@@ -29,11 +29,6 @@ CFG = pl.DEFAULT_CONFIG
 INF = pl.INF
 
 
-def lv(i, j) -> pl.PLevel:
-    conv = lambda v: INF if v == "inf" else pl.ExtNat(v)
-    return pl.PLevel(conv(i), conv(j))
-
-
 def done(n: int, text: str) -> None:
     print(f"[criterion {n:02d}] PASS  {text}")
 
@@ -72,7 +67,7 @@ def test_criterion_01_zoo_level_golden_table():
     start = time.time()
     for name, i, j in GOLDEN_LEVELS:
         got = pl.p_level(zoo.make(name))
-        assert got == lv(i, j), f"{name}: {got} != {lv(i, j)}"
+        assert got == pl.PLevel(i, j), f"{name}: {got} != {pl.PLevel(i, j)}"
     elapsed = time.time() - start
     assert elapsed < 1.0, f"golden table took {elapsed:.2f}s"
     done(1, f"{len(GOLDEN_LEVELS)} golden levels exact in {elapsed * 1000:.0f} ms")
@@ -175,7 +170,7 @@ def test_criterion_10_equiparallelism_checks():
     assert pl.bm_search(zoo.det(), zoo.ttdet(), CFG) is not None
     assert pl.bm_search(zoo.ttdet(), zoo.det(), CFG) is not None
     assert pl.classify(zoo.bivalued_gustave(1, 1)).degree_alias == "BP"
-    detector_level = lv("inf", 1)
+    detector_level = pl.PLevel(INF, 1)
     for fn in zoo.catalog():
         rep = pl.classify(fn)
         if rep.plevel == detector_level:

@@ -93,6 +93,38 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("analyze", "arity \u00b3\nT__ -> T\n"),
+        ("analyze", "arityfoo 2\nT_ -> T\n"),
+        ("term", "arity \u00b3\n(alleq (g x2 x3) (g x1 x3) (g x1 x2))\n"),
+        ("term", "arity 3\n(alleq (g x\u00b2 x3) (g x1 x3) (g x1 x2))\n"),
+    ],
+    ids=["trace-superscript-arity", "trace-arityfoo", "term-superscript-arity",
+         "term-superscript-variable"],
+)
+def test_malformed_number_is_input_error(capsys, tmp_path, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "term":
+        argv += ["--oracle", "zoo:por_i(2)"]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_relation_enumeration_over_budget_exits_four(capsys):
+    """A 17-ary relation has 3^17 tuples, above the default budget, so
+    the check stops before enumerating them."""
+    b = ",".join(str(i) for i in range(1, 18))
+    code, _, err = run(capsys, "invariance", "zoo:bp", "--relation", f"preseq n=17 A= B={b}")
+    assert code == 4
+    assert "relation enumeration" in err
+
+
 def test_coherence_bound_overrun_is_input_error(capsys, tmp_path):
     path = tmp_path / "nt21.trace"
     assert run(capsys, "zoo", "emit", "ntdet(21)", "-o", str(path))[0] == 0

@@ -217,6 +217,20 @@ def test_parse_trace_errors_carry_line_numbers():
         parse_trace("arity 2\nT_ -> X\n")  # bad output
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("arity \u00b3\nT__ -> T\n", 1),  # superscript digit
+        ("# c\narity \u0663\n", 2),  # non-ASCII decimal digit
+        ("arityfoo 2\nT_ -> T\n", 1),  # not the arity keyword
+    ],
+)
+def test_parse_trace_malformed_arity_is_line_numbered(text, line):
+    with pytest.raises(FormatError) as exc:
+        parse_trace(text)
+    assert exc.value.line == line
+
+
 def test_parse_trace_accepts_comments_and_blanks():
     fn = parse_trace("# a comment\n\narity 2\n# another\nT_ -> T\n_T -> T\n")
     assert fn == zoo.ttdet()

@@ -4,6 +4,7 @@ canonicalization, chains, and the separating-relation search."""
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from parlevel import (
     canonical_strict,
     canonicalize,
     chain_relation,
+    compare,
     find_separating_relation,
     fn_sum,
     format_relation,
@@ -30,6 +32,7 @@ from parlevel import (
     parse_relation_file,
     zoo,
 )
+from parlevel.relations import basic_members, member_matrix
 
 
 def t(text: str) -> TriTuple:
@@ -110,6 +113,93 @@ def test_budget_error_reports_required_and_allowed():
         is_invariant(zoo.bp(), canonical_equal(3), small)
     assert exc.value.allowed == 10
     assert exc.value.required == 21**3
+
+
+def test_basic_members_closed_form():
+    for m in range(1, 8):
+        assert basic_members(canonical_equal(m)) == 3**m - 2**m + 2
+        assert basic_members(canonical_strict(m)) == 3 ** (m + 1) - 3 * 2**m + 2
+        for r in (canonical_equal(m), canonical_strict(m)):
+            assert basic_members(r) == len(member_matrix(r)), r
+    for n in range(1, 5):
+        for b_size in range(n + 1):
+            for a_size in range(b_size + 1):
+                r = rel(n, range(1, a_size + 1), range(1, b_size + 1))
+                assert basic_members(r) == len(member_matrix(r)), r
+
+
+def test_level_route_counts_states_without_enumerating():
+    """The level route reports |S^12_{11,12}|^13 states for the invariant
+    side without walking the relation's 3^12 tuples."""
+    left, right = zoo.gustave(5), zoo.gustave(6)
+    start = time.perf_counter()
+    verdict = compare(left, right).to_json_dict()
+    assert time.perf_counter() - start < 3
+    strict = format_relation(canonical_strict(11))
+    states = 525299**13
+    assert verdict == {
+        "relation": "unknown",
+        "evidence": [
+            {
+                "kind": "separation",
+                "source": {"name": "gustave_i(5)", "arity": 11,
+                           "trace": [str(e) for e in left.entries]},
+                "target": {"name": "gustave_i(6)", "arity": 13,
+                           "trace": [str(e) for e in right.entries]},
+                "payload": {
+                    "relation": strict,
+                    "witness_inputs": [
+                        "_TTTTTFFFFF_", "TFFFFF_TTTT_", "F_TTTTTFFFF_", "TTFFFFF_TTT_",
+                        "FF_TTTTTFFF_", "TTTFFFFF_TT_", "FFF_TTTTTFF_", "TTTTFFFFF_T_",
+                        "FFFF_TTTTTF_", "TTTTTFFFFF__", "FFFFF_TTTTT_",
+                    ],
+                    "witness_output": "TTTTTTTTTTT_",
+                    "invariant_side": {
+                        "function": "gustave_i(6)", "method": "level", "states": states,
+                    },
+                },
+                "verified": True,
+            }
+        ],
+        "notes": [
+            "mapping search gustave_i(5) -> gustave_i(6) skipped (mapping search "
+            "needs 1792160394037 states, budget allows 100000000)",
+            "mapping search gustave_i(6) -> gustave_i(5) skipped (mapping search "
+            "needs 34522712143931 states, budget allows 100000000)",
+            f"{strict}: invariant side needs {states} states (budget 100000000), "
+            "justified by level instead",
+        ] + [
+            f"{chain_relation(j)}: skipped (invariance check needs {needed} states, "
+            "budget allows 100000000)"
+            for j, needed in ((2, 1977326743), (3, 116490258898219),
+                              (4, 13931233916552734375),
+                              (5, 2158060662623960090407387))
+        ] + ["left not below right established; other direction open"],
+    }
+
+
+def test_relation_enumeration_over_budget_raises_at_once():
+    """Only three tuples belong to S^17_{{},{1..17}}, but finding them
+    means walking 3^17 tuples, which is above the default budget."""
+    wide = rel(17, set(), range(1, 18))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="relation enumeration") as exc:
+        invariance_counterexample(zoo.bp(), wide)
+    assert time.perf_counter() - start < 1
+    assert exc.value.required == 3**17
+    assert exc.value.allowed == DEFAULT_CONFIG.budget
+
+
+def test_level_route_needs_the_relation_listed_within_budget():
+    """With budget 25, S^3_{3,3} has 21 members, few enough for a unary
+    right side, but listing them walks 27 tuples: the invariant side
+    rests on the level instead of failing the search."""
+    unary = zoo.make("ntdet(1)")
+    small = dataclasses.replace(DEFAULT_CONFIG, budget=25)
+    found = find_separating_relation(zoo.bp(), unary, small).found
+    assert found.relation == canonical_equal(3)
+    assert (found.invariant_method, found.invariant_states) == ("level", 21)
+    assert found.witness.verify(zoo.bp())
 
 
 def test_canonicalize_golden():

@@ -178,6 +178,21 @@ def test_parse_term_errors():
         parse_term("arity 2\n")  # no expression
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("arity \u00b3\n(g x1 x2 x3)\n", 1),  # superscript digit
+        ("# c\narity \u0663\n(g x1 x2 x3)\n", 2),  # non-ASCII decimal digit
+        ("arity 2\n(g x\u00b9 x2)\n", None),  # superscript variable index
+        ("arityfoo 2\n(g x1 x2)\n", None),  # not the arity keyword
+    ],
+)
+def test_parse_term_malformed_numbers(text, line):
+    with pytest.raises(FormatError) as exc:
+        parse_term(text)
+    assert exc.value.line == line
+
+
 def test_parse_term_accepts_comments():
     term = parse_term("# doubled first coordinate\narity 2\n(or x1 x1)\n")
     assert term == Term(2, App("or", (Var(1), Var(1))))

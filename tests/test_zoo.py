@@ -6,7 +6,12 @@ from __future__ import annotations
 import pytest
 
 from parlevel import FormatError, fn_sum, neg, zoo
-from parlevel.zoo import CYCLIC_MATRIX_1, CYCLIC_MATRIX_2, GUSTAVE_MATRIX_1
+from parlevel.suites import (
+    CYCLIC_MATRIX_1,
+    CYCLIC_MATRIX_2,
+    GUSTAVE_MATRIX_1,
+    verify_zoo_invariants,
+)
 
 
 def rows_of(fn):
@@ -120,6 +125,6 @@ def test_catalog_arity_filter():
 
 
 def test_zoo_self_test_passes():
-    results = zoo.verify_zoo_invariants()
+    results = verify_zoo_invariants()
     failures = [r for r in results if not r.passed]
     assert not failures, failures
