@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -169,31 +169,16 @@ def _check_monotone_codes(k: int, vals: Sequence[int]) -> tuple[int, int] | None
 
 
 def trace_from_table(
-    arity: int,
-    table: Mapping[TriTuple, Tri] | Sequence[int],
-    name: str | None = None,
+    arity: int, table: Sequence[int], name: str | None = None
 ) -> MonotoneFn:
-    """Extract the trace from a total table; rejects non-monotone tables
-    naming one violating pair."""
-    size = 3**arity
-    if isinstance(table, Mapping):
-        if len(table) != size:
-            raise ArityMismatchError(
-                f"table has {len(table)} rows, expected {size} for arity {arity}"
-            )
-        vals = [0] * size
-        for x, b in table.items():
-            if x.arity != arity:
-                raise ArityMismatchError(
-                    f"table key {x.text} has arity {x.arity}, expected {arity}"
-                )
-            vals[x.encode()] = int(b)
-    else:
-        vals = [int(v) for v in table]
-        if len(vals) != size:
-            raise ArityMismatchError(
-                f"table has {len(vals)} rows, expected {size} for arity {arity}"
-            )
+    """Extract the trace from a total table of trit codes indexed by
+    base-3 input code; rejects non-monotone tables naming one violating
+    pair."""
+    vals = [int(v) for v in table]
+    if len(vals) != 3**arity:
+        raise ArityMismatchError(
+            f"table has {len(vals)} rows, expected {3**arity} for arity {arity}"
+        )
 
     bad = _check_monotone_codes(arity, vals)
     if bad is not None:

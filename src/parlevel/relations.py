@@ -28,7 +28,7 @@ from .errors import (
     FormatError,
     SoundnessError,
 )
-from .functions import MonotoneFn, table_of
+from .functions import MonotoneFn, is_ascii_number, table_of
 from .lattice import BOT, Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
@@ -437,18 +437,18 @@ def find_separating_relation(
 #   seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}
 # ---------------------------------------------------------------------------
 
-_IDX_RE = re.compile(r"^(preseq|seqrel)\s+n=(\d+)\s*(.*)$")
-_PAIR_RE = re.compile(r"\{\s*A=([\d,]*)\s+B=([\d,]*)\s*\}")
+_IDX_RE = re.compile(r"^(preseq|seqrel)\s+n=([0-9]+)\s*(.*)$")
+_PAIR_RE = re.compile(r"\{\s*A=([0-9,]*)\s+B=([0-9,]*)\s*\}")
 
 
 def _parse_indices(text: str, lineno: int | None) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    try:
-        return frozenset(int(p) for p in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(is_ascii_number(p) for p in parts):
         raise FormatError(f"bad index list {text!r}", lineno)
+    return frozenset(int(p) for p in parts)
 
 
 def parse_relation(line: str, lineno: int | None = None) -> Relation:

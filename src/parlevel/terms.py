@@ -1,29 +1,35 @@
 """First-order applicative terms with one oracle slot.
 
 A term denotes a function of declared arity once the oracle symbol is
-bound to a concrete monotone function; evaluation tabulates it over all
-inputs and rebuilds the trace (which also proves the result monotone).
-The built-in connectives are the conditional with an undefined-strict
-scrutinee, strict negation, the left-strict conjunction/disjunction
-encodings, and the all-arguments-equal probe that returns the shared
-value or stays undefined.
+bound to a concrete monotone function.  Every connective is itself a
+monotone function held as a trace: the conditional with an
+undefined-strict scrutinee, strict negation, the left-strict
+conjunction and disjunction, and the all-arguments-equal probe that
+returns the shared value or stays undefined.  Evaluation therefore
+treats the oracle and the connectives alike: it tabulates the term over
+all inputs at once by table lookup and rebuilds the trace (which also
+proves the result monotone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError, FormatError, InapplicableError, TermArityError
 from .functions import (
     MonotoneFn,
+    entry,
     is_ascii_number,
     is_monovalued,
     table_of,
     trace_from_table,
+    validate_trace,
 )
-from .lattice import BOT, FF, TT, Tri, all_tuples
+from .lattice import BOT, FF, TT, Tri
 
 ORACLE = "g"
 
@@ -40,7 +46,7 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
-    fn: str  # ORACLE or a builtin name
+    fn: str  # ORACLE, ALLEQ or a key of CONNECTIVES
     args: tuple["Node", ...]
 
 
@@ -53,38 +59,20 @@ class Term:
     root: Node
 
 
-def _ite(c: int, a: int, b: int) -> int:
-    if c == 0:
-        return 0
-    return a if c == 1 else b
-
-
-def _not(a: int) -> int:
-    return 0 if a == 0 else (2 if a == 1 else 1)
-
-
-def _and(a: int, b: int) -> int:
-    return _ite(a, b, 2)
-
-
-def _or(a: int, b: int) -> int:
-    return _ite(a, 1, b)
-
-
-def _alleq(*args: int) -> int:
-    v = args[0]
-    if v != 0 and all(a == v for a in args):
-        return v
-    return 0
-
-
-_BUILTINS = {
-    "ite": (3, lambda a: _ite(*a)),
-    "not": (1, lambda a: _not(*a)),
-    "and": (2, lambda a: _and(*a)),
-    "or": (2, lambda a: _or(*a)),
-    "alleq": (None, lambda a: _alleq(*a)),  # variadic, >= 1
+CONNECTIVES = {
+    "ite": validate_trace(
+        3, [entry("TT_", "T"), entry("TF_", "F"), entry("F_T", "T"), entry("F_F", "F")], "ite"
+    ),
+    "not": validate_trace(1, [entry("T", "F"), entry("F", "T")], "not"),
+    "and": validate_trace(2, [entry("TT", "T"), entry("TF", "F"), entry("F_", "F")], "and"),
+    "or": validate_trace(2, [entry("T_", "T"), entry("FT", "T"), entry("FF", "F")], "or"),
 }
+ALLEQ = "alleq"  # variadic, >= 1 argument
+
+
+def alleq(n: int) -> MonotoneFn:
+    """The all-arguments-equal probe over n arguments."""
+    return validate_trace(n, [entry("T" * n, "T"), entry("F" * n, "F")], ALLEQ)
 
 
 def validate_term(term: Term, oracle_arity: int) -> None:
@@ -101,17 +89,17 @@ def validate_term(term: Term, oracle_arity: int) -> None:
                         f"oracle applied to {len(node.args)} arguments, "
                         f"oracle arity is {oracle_arity}"
                     )
-            else:
-                info = _BUILTINS.get(node.fn)
-                if info is None:
-                    raise TermArityError(f"unknown symbol {node.fn!r}")
-                want, _ = info
-                if want is not None and len(node.args) != want:
-                    raise TermArityError(
-                        f"{node.fn} takes {want} arguments, got {len(node.args)}"
-                    )
-                if want is None and not node.args:
+            elif node.fn == ALLEQ:
+                if not node.args:
                     raise TermArityError(f"{node.fn} needs at least one argument")
+            else:
+                fn = CONNECTIVES.get(node.fn)
+                if fn is None:
+                    raise TermArityError(f"unknown symbol {node.fn!r}")
+                if len(node.args) != fn.arity:
+                    raise TermArityError(
+                        f"{node.fn} takes {fn.arity} arguments, got {len(node.args)}"
+                    )
             for a in node.args:
                 walk(a)
 
@@ -121,34 +109,42 @@ def validate_term(term: Term, oracle_arity: int) -> None:
 def eval_term(
     term: Term, oracle: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> MonotoneFn:
-    """Tabulate the term pointwise and rebuild the trace; the rebuild
-    re-checks monotonicity rather than assuming it."""
+    """Tabulate the term over all 3^k inputs at once, one trit column
+    per node: a variable is its base-3 digit, a constant is constant,
+    and the oracle and the connectives alike look their table up at the
+    codes the argument columns spell.  Rebuilding the trace from the
+    root column re-checks monotonicity rather than assuming it."""
     k = term.arity
     if k > config.table_bound:
         raise BoundExceededError(
             f"term arity {k} above table bound {config.table_bound}"
         )
     validate_term(term, oracle.arity)
-    otable = table_of(oracle)
-    ok = oracle.arity
+    inputs = np.arange(3**k)
 
-    def run(node: Node, env: tuple[int, ...]) -> int:
+    def column(node: Node) -> np.ndarray:
         if isinstance(node, Var):
-            return env[node.index - 1]
+            return (inputs // 3 ** (k - node.index) % 3).astype(np.int8)
         if isinstance(node, Const):
-            return int(node.value)
-        vals = [run(a, env) for a in node.args]
+            return np.full(inputs.shape, node.value, dtype=np.int8)
         if node.fn == ORACLE:
-            code = 0
-            for v in vals:
-                code = code * 3 + v
-            return otable[code]
-        return _BUILTINS[node.fn][1](vals)
+            fn = oracle
+        elif node.fn == ALLEQ:
+            if len(node.args) > config.table_bound:
+                raise BoundExceededError(
+                    f"{ALLEQ} over {len(node.args)} arguments above table "
+                    f"bound {config.table_bound}"
+                )
+            fn = alleq(len(node.args))
+        else:
+            fn = CONNECTIVES[node.fn]
+        code = np.zeros(inputs.shape, dtype=np.int64)
+        for a in node.args:
+            code *= 3
+            code += column(a)
+        return np.array(table_of(fn), dtype=np.int8)[code]
 
-    table = [0] * 3**k
-    for x in all_tuples(k):
-        table[x.encode()] = run(term.root, tuple(int(v) for v in x.entries))
-    return trace_from_table(k, table)
+    return trace_from_table(k, column(term.root).tolist())
 
 
 def inline_oracle(outer: Term, inner: Term) -> Term:
@@ -252,43 +248,41 @@ def mono_to_det_term(fn: MonotoneFn) -> Term:
 _ATOM_CONSTS = {"tt": Const(TT), "ff": Const(FF), "bot": Const(BOT)}
 
 
-def _tokens(text: str) -> Iterator[str]:
-    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
-        yield tok
+_SYMBOLS = {ORACLE, ALLEQ, *CONNECTIVES}
 
 
-def _parse_node(tokens: list[str], pos: int) -> tuple[Node, int]:
-    if pos >= len(tokens):
-        raise FormatError("unexpected end of term")
-    tok = tokens[pos]
+def _parse_node(tokens: list[tuple[str, int]], pos: int) -> tuple[Node, int]:
+    tok, lineno = tokens[pos]
     if tok == "(":
         if pos + 1 >= len(tokens):
-            raise FormatError("unexpected end of term")
-        head = tokens[pos + 1]
+            raise FormatError("unexpected end of term", tokens[-1][1])
+        head, head_line = tokens[pos + 1]
         if head in ("(", ")"):
-            raise FormatError(f"expected a symbol after '(', got {head!r}")
-        if head != ORACLE and head not in _BUILTINS:
-            raise FormatError(f"unknown symbol {head!r}")
+            raise FormatError(f"expected a symbol after '(', got {head!r}", head_line)
+        if head not in _SYMBOLS:
+            raise FormatError(f"unknown symbol {head!r}", head_line)
         args = []
         pos += 2
-        while pos < len(tokens) and tokens[pos] != ")":
+        while pos < len(tokens) and tokens[pos][0] != ")":
             node, pos = _parse_node(tokens, pos)
             args.append(node)
         if pos >= len(tokens):
-            raise FormatError("missing ')'")
+            raise FormatError("missing ')'", lineno)
         return App(head, tuple(args)), pos + 1
     if tok == ")":
-        raise FormatError("unexpected ')'")
+        raise FormatError("unexpected ')'", lineno)
     if tok in _ATOM_CONSTS:
         return _ATOM_CONSTS[tok], pos + 1
     if tok.startswith("x") and is_ascii_number(tok[1:]):
         return Var(int(tok[1:])), pos + 1
-    raise FormatError(f"bad token {tok!r}")
+    raise FormatError(f"bad token {tok!r}", lineno)
 
 
 def parse_term(text: str) -> Term:
+    """Parse a term file; an error inside the expression names the line
+    of the token it was raised at."""
     arity: int | None = None
-    expr_lines = []
+    tokens: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -299,15 +293,16 @@ def parse_term(text: str) -> Term:
                 raise FormatError(f"bad arity line {line!r}", lineno)
             arity = int(words[1])
             continue
-        expr_lines.append(line)
+        spaced = line.replace("(", " ( ").replace(")", " ) ")
+        tokens.extend((tok, lineno) for tok in spaced.split())
     if arity is None or arity < 1:
         raise FormatError("term file needs an 'arity <k>' line with k >= 1")
-    tokens = list(_tokens(" ".join(expr_lines)))
     if not tokens:
         raise FormatError("term file has no expression")
     node, pos = _parse_node(tokens, 0)
     if pos != len(tokens):
-        raise FormatError(f"trailing tokens after term: {tokens[pos:]}")
+        trailing = [tok for tok, _ in tokens[pos:]]
+        raise FormatError(f"trailing tokens after term: {trailing}", tokens[pos][1])
     return Term(arity, node)
 
 

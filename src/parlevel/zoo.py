@@ -109,7 +109,7 @@ _ATOMS = {
     "gustave": lambda: gustave(1),
 }
 
-_PARAM_RE = re.compile(r"^(gustave_i|por_i|ntdet|bg)\((\d+)(?:,(\d+))?\)$")
+_PARAM_RE = re.compile(r"^(gustave_i|por_i|ntdet|bg)\(([0-9]+)(?:,([0-9]+))?\)$")
 
 
 def _split_top(text: str, sep: str, original: str) -> list[str]:

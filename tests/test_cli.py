@@ -116,6 +116,26 @@ def test_malformed_number_is_input_error(capsys, tmp_path, command, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariance", "zoo:bp", "--relation", "preseq n=3 A=\u0661 B=1,2"],
+        ["invariance", "zoo:bp", "--relations", "{path}"],
+        ["analyze", "zoo:por_i(\u0663)"],
+    ],
+    ids=["relation", "relations-file", "zoo-name"],
+)
+def test_non_ascii_digit_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "rels.txt"
+    path.write_text("# c\nseqrel n=3 {A=\u0661 B=1,2}\n", encoding="utf-8")
+    code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    if "--relations" in argv:
+        assert "line 2" in err
+
+
 def test_relation_enumeration_over_budget_exits_four(capsys):
     """A 17-ary relation has 3^17 tuples, above the default budget, so
     the check stops before enumerating them."""

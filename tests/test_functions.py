@@ -9,6 +9,7 @@ from parlevel import (
     BOT,
     FF,
     TT,
+    ArityMismatchError,
     BoundExceededError,
     ComparableRowsError,
     FormatError,
@@ -50,25 +51,28 @@ def test_eval_arity_mismatch():
 
 
 def test_trace_from_table_por2():
-    table = {x: zoo.por(2).eval(x) for x in all_tuples(2)}
+    table = [zoo.por(2).eval(x) for x in all_tuples(2)]  # code order
     rebuilt = trace_from_table(2, table)
     assert rebuilt == zoo.por(2)
 
 
 def test_trace_from_table_constant():
-    table = {x: TT for x in all_tuples(3)}
+    table = [TT] * 3**3
     fn = trace_from_table(3, table)
     assert fn.entries == (entry("___", "T"),)
 
 
 def test_trace_from_table_rejects_non_monotone():
-    table = {x: BOT for x in all_tuples(1)}
-    table[t("_")] = TT
-    table[t("T")] = FF
+    table = [TT, FF, BOT]  # codes of _, T, F
     with pytest.raises(NonMonotoneTableError) as exc:
         trace_from_table(1, table)
     assert exc.value.low == "_"
     assert exc.value.high in ("T", "F")
+
+
+def test_trace_from_table_rejects_wrong_row_count():
+    with pytest.raises(ArityMismatchError, match="table has 8 rows, expected 9 for arity 2"):
+        trace_from_table(2, [BOT] * 8)
 
 
 def test_validate_trace_accepts_bp():

@@ -317,6 +317,24 @@ def test_parse_relation_file_and_errors():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "preseq n=\u0663 A=1 B=1,2",  # non-ASCII decimal digit in the arity
+        "preseq n=3 A=\u0661 B=1,2",
+        "preseq n=3 A=1 B=1,\u0662",
+        "seqrel n=\u0663 {A=1 B=1,2}",
+        "seqrel n=3 {A=\u0661 B=1,2}",
+        "preseq n=3 A=+1 B=1,2",  # int() takes a sign
+        "preseq n=12 A=1_0 B=1,2,10",  # and an underscore
+    ],
+)
+def test_parse_relation_file_takes_ascii_digits_only(line):
+    with pytest.raises(FormatError) as exc:
+        parse_relation_file(f"# relations\n{line}\n")
+    assert exc.value.line == 2
+
+
 def test_member_matrix_order_is_code_order():
     from parlevel.relations import member_matrix
 

@@ -6,8 +6,13 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlevel import (
+    BOT,
+    FF,
+    TT,
     App,
     BoundExceededError,
     Const,
@@ -17,7 +22,9 @@ from parlevel import (
     Term,
     TermArityError,
     Tri,
+    TriTuple,
     Var,
+    all_tuples,
     bg_rotation_terms,
     eval_term,
     format_term,
@@ -25,11 +32,12 @@ from parlevel import (
     mono_to_det_term,
     parse_term,
     por_step_term,
+    trace_from_table,
     validate_trace,
     entry,
     zoo,
 )
-from parlevel.terms import ORACLE
+from parlevel.terms import ALLEQ, CONNECTIVES, ORACLE, alleq
 
 WIDE = dataclasses.replace(DEFAULT_CONFIG, table_bound=7)
 
@@ -183,7 +191,7 @@ def test_parse_term_errors():
     [
         ("arity \u00b3\n(g x1 x2 x3)\n", 1),  # superscript digit
         ("# c\narity \u0663\n(g x1 x2 x3)\n", 2),  # non-ASCII decimal digit
-        ("arity 2\n(g x\u00b9 x2)\n", None),  # superscript variable index
+        ("arity 2\n(g x\u00b9 x2)\n", 2),  # superscript variable index
         ("arityfoo 2\n(g x1 x2)\n", None),  # not the arity keyword
     ],
 )
@@ -196,3 +204,127 @@ def test_parse_term_malformed_numbers(text, line):
 def test_parse_term_accepts_comments():
     term = parse_term("# doubled first coordinate\narity 2\n(or x1 x1)\n")
     assert term == Term(2, App("or", (Var(1), Var(1))))
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("arity 2\n(g x1\n  y2)\n", "bad token 'y2'", 3),
+        ("arity 2\n(alleq\n (frob x1) x2)\n", "unknown symbol 'frob'", 3),
+        ("arity 2\n(g x1\n(( x2)\n", "expected a symbol after '(', got '('", 3),
+        ("arity 1\n# c\n\n)\n", "unexpected ')'", 4),
+        ("arity 2\n(alleq\n  (g x1 x2)\n  (g x2 x1)\n", "missing ')'", 2),
+        ("arity 2\n(alleq (g x1 x2)\n (g x2 x1\n", "missing ')'", 3),
+        ("arity 2\n(alleq x1\n(\n# c\n", "unexpected end of term", 3),
+        ("arity 2\n(g x1 x2)\n\nx1 tt\n", "trailing tokens after term: ['x1', 'tt']", 4),
+    ],
+    ids=["bad-token", "unknown-symbol", "no-symbol", "unexpected-close", "missing-close",
+         "missing-inner-close", "end-of-term", "trailing-tokens"],
+)
+def test_parse_term_errors_are_line_numbered(text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse_term(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_alleq_table_bound():
+    term = Term(1, App(ALLEQ, (Var(1),) * 7))
+    with pytest.raises(BoundExceededError, match="alleq over 7 arguments above table bound 6"):
+        eval_term(term, zoo.ttdet())
+    assert eval_term(term, zoo.ttdet(), WIDE) == eval_term(Term(1, Var(1)), zoo.ttdet())
+
+
+# ---------------------------------------------------------------------------
+# Properties: the table-lookup evaluator against a per-tuple interpreter
+# written from the connectives' definitions
+# ---------------------------------------------------------------------------
+
+def _ite(c, a, b):
+    if c == BOT:
+        return BOT
+    return a if c == TT else b
+
+
+DEFINITIONS = {
+    "ite": _ite,
+    "not": lambda a: {BOT: BOT, TT: FF, FF: TT}[a],
+    "and": lambda a, b: _ite(a, b, FF),
+    "or": lambda a, b: _ite(a, TT, b),
+    ALLEQ: lambda *xs: xs[0] if xs[0] != BOT and len(set(xs)) == 1 else BOT,
+}
+ORACLES = zoo.catalog(max_arity=4)
+
+
+def eval_by_definition(term, oracle):
+    def run(node, env):
+        if isinstance(node, Var):
+            return env[node.index - 1]
+        if isinstance(node, Const):
+            return node.value
+        vals = [run(a, env) for a in node.args]
+        if node.fn == ORACLE:
+            return oracle.eval(TriTuple(tuple(vals)))
+        return DEFINITIONS[node.fn](*vals)
+
+    table = [run(term.root, x.entries) for x in all_tuples(term.arity)]
+    return trace_from_table(term.arity, table)
+
+
+@st.composite
+def random_terms(draw, oracle_arity, arity=None, max_depth=3):
+    k = arity if arity is not None else draw(st.integers(1, 4))
+
+    def node(depth):
+        kinds = ["var", "const", "app"] if depth < max_depth else ["var", "const"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "var":
+            return Var(draw(st.integers(1, k)))
+        if kind == "const":
+            return Const(draw(st.sampled_from([BOT, TT, FF])))
+        fn = draw(st.sampled_from([ORACLE, ALLEQ, *CONNECTIVES]))
+        if fn == ORACLE:
+            n = oracle_arity
+        elif fn == ALLEQ:
+            n = draw(st.integers(1, 3))
+        else:
+            n = CONNECTIVES[fn].arity
+        return App(fn, tuple(node(depth + 1) for _ in range(n)))
+
+    return Term(k, node(0))
+
+
+oracle_and_term = st.sampled_from(ORACLES).flatmap(
+    lambda h: st.tuples(st.just(h), random_terms(h.arity))
+)
+
+
+@settings(deadline=None)
+@given(oracle_and_term)
+def test_eval_term_equals_per_tuple_interpreter(case):
+    oracle, term = case
+    assert eval_term(term, oracle) == eval_by_definition(term, oracle)
+
+
+@pytest.mark.parametrize("name", [ALLEQ, *CONNECTIVES])
+def test_connective_traces_equal_definitions(name):
+    traces = [alleq(n) for n in range(1, 5)] if name == ALLEQ else [CONNECTIVES[name]]
+    for fn in traces:
+        for x in all_tuples(fn.arity):
+            assert fn.eval(x) == DEFINITIONS[name](*x.entries), (name, x.text)
+
+
+@st.composite
+def composable_terms(draw):
+    h = draw(st.sampled_from(ORACLES))
+    inner = draw(random_terms(h.arity, arity=draw(st.integers(1, 3)), max_depth=2))
+    outer = draw(random_terms(inner.arity, max_depth=2))
+    return h, inner, outer
+
+
+@settings(deadline=None)
+@given(composable_terms())
+def test_inline_oracle_equals_staged_evaluation(case):
+    h, inner, outer = case
+    staged = eval_term(outer, eval_term(inner, h))
+    assert eval_term(inline_oracle(outer, inner), h) == staged

@@ -110,7 +110,7 @@ def test_make_compositions():
 
 def test_make_errors():
     for bad in ("", "unknown", "bg(1)", "por_i(1,2)", "bp+", "sum(bp)", "gustave_i(x)",
-                "bp)+(ttdet", "neg(bp))"):
+                "bp)+(ttdet", "neg(bp))", "por_i(\u0663)", "bg(2,\u0661)", "ntdet(\uff13)"):
         with pytest.raises(FormatError):
             zoo.make(bad)
     for unbalanced in ("bp)+(ttdet", "neg(bp))", "sum(bp,ttdet))", "neg(bp"):
