@@ -51,13 +51,8 @@ from .lattice import (
     TT,
     Tri,
     TriTuple,
-    all_tuples,
-    compatible,
-    is_bot_covering,
     is_coherent,
-    is_egli_milner_lowerbound,
     leq,
-    lub,
 )
 from .plevels import (
     INF,

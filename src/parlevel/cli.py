@@ -6,7 +6,9 @@ Exit codes: 0 resolved verdict / pass, 1 verification failures,
 An input over a fixed size bound (plevels.COHERENCE_BOUND,
 definability.MAPPING_BOUND, functions.RECURSION_BOUND,
 plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
-any other input error, since no flag moves those bounds.  Budget
+any other input error, since no flag moves those bounds.  A term file
+or function name nested past functions.NESTING_BOUND is a FormatError,
+so it exits 3 too.  Budget
 overruns exit 4 because `--budget` moves the budget.
 """
 

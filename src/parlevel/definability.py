@@ -25,7 +25,7 @@ from .errors import (
     SoundnessError,
 )
 from .functions import MonotoneFn, is_stable
-from .lattice import TT, bitplanes, mask_coherent
+from .lattice import TT, mask_coherent
 from .plevels import min_coherent_subset
 from .relations import (
     Relation,
@@ -73,7 +73,7 @@ def _check_mapping_bound(source: MonotoneFn) -> None:
 def _coherent_masks(fn: MonotoneFn) -> list[list[int]]:
     """Non-singleton coherent subsets of the trace as masks over entry
     positions, grouped by their highest position."""
-    planes = bitplanes(fn.inputs)
+    planes = fn.planes
     by_max: list[list[int]] = [[] for _ in range(fn.trace_size)]
     for mask in range(1 << fn.trace_size):
         if mask.bit_count() >= 2 and mask_coherent(mask, planes):
@@ -117,7 +117,7 @@ def check_bm(mapping: BMMapping) -> bool:
     _check_mapping_bound(src)
     masks = [mask for group in _coherent_masks(src) for mask in group]
     return _images_ok(
-        masks, mapping.assignment, _outputs(src), _outputs(tgt), bitplanes(tgt.inputs)
+        masks, mapping.assignment, _outputs(src), _outputs(tgt), tgt.planes
     )
 
 
@@ -137,7 +137,7 @@ def bm_search(
 
     # a subset is checked once its highest entry is assigned
     by_max = _coherent_masks(f)
-    tplanes = bitplanes(g.inputs)
+    tplanes = g.planes
     src_out, tgt_out = _outputs(f), _outputs(g)
     assignment: list[int] = []
 

@@ -4,6 +4,12 @@ A function is stored as its trace: the set of minimal inputs on which it
 becomes defined, each paired with the value taken there.  The trace is
 the canonical form; full tables are only materialized on demand and
 under a configured arity bound.
+
+A validated function also carries its trace's coherence facts, built
+once at construction: the bitplanes of its inputs (`planes`, see
+`lattice.bitplanes`) and the mask of its true-valued entries
+(`tt_mask`).  Validation, stability, the coherence coefficients and the
+trace-mapping check all read these fields.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     InconsistentOutputsError,
     NonMonotoneTableError,
 )
-from .lattice import BOT, FF, TT, Tri, TriTuple, compatible, leq
+from .lattice import BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, mask_coherent
 
 
 @dataclass(frozen=True)
@@ -48,13 +54,17 @@ class MonotoneFn:
     """A monotone function, held as its trace (sorted by input code).
 
     Construction validates the trace invariants: inputs pairwise
-    incomparable, and compatible inputs agree on the output.  Equality
-    ignores the optional name.
+    incomparable, and compatible (coherent) input pairs agree on the
+    output.  It keeps the inputs' bitplanes and the mask of true-valued
+    entries, bit p standing for entry p.  Equality ignores the optional
+    name and these derived fields.
     """
 
     arity: int
     entries: tuple[TraceEntry, ...]
     name: str | None = field(default=None, compare=False)
+    planes: Bitplanes = field(init=False, compare=False, repr=False)
+    tt_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -70,12 +80,18 @@ class MonotoneFn:
             object.__setattr__(
                 self, "entries", tuple(sorted(self.entries, key=lambda e: e.key))
             )
-        for a, b in itertools.combinations(self.entries, 2):
-            if leq(a.input, b.input) or leq(b.input, a.input):
+        planes = bitplanes(self.inputs)
+        tt_mask = sum(1 << p for p, e in enumerate(self.entries) if e.output == TT)
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "tt_mask", tt_mask)
+        # x <= y implies code(x) <= code(y), so in a pair taken in sorted
+        # order only the first input can lie below the second
+        for (p, a), (q, b) in itertools.combinations(enumerate(self.entries), 2):
+            if leq(a.input, b.input):
                 raise ComparableRowsError(
                     f"comparable trace inputs: {a.input.text} and {b.input.text}"
                 )
-            if compatible(a.input, b.input) and a.output != b.output:
+            if a.output != b.output and mask_coherent((1 << p) | (1 << q), planes):
                 raise InconsistentOutputsError(
                     f"compatible inputs with different outputs: {a} and {b}"
                 )
@@ -233,10 +249,11 @@ def fn_sum(f: MonotoneFn, g: MonotoneFn) -> MonotoneFn:
 
 
 def is_stable(fn: MonotoneFn) -> bool:
-    """Stability at first order: trace inputs pairwise incompatible."""
+    """Stability at first order: no two trace inputs are compatible,
+    i.e. no pair of entries is coherent."""
     return not any(
-        compatible(a.input, b.input)
-        for a, b in itertools.combinations(fn.entries, 2)
+        mask_coherent((1 << p) | (1 << q), fn.planes)
+        for p, q in itertools.combinations(range(fn.trace_size), 2)
     )
 
 
@@ -309,6 +326,16 @@ def is_ascii_number(text: str) -> bool:
     """Only ASCII digits: str.isdigit() also takes superscript digits,
     which int() then rejects."""
     return text.isascii() and text.isdigit()
+
+
+NESTING_BOUND = 200  # deepest parenthesis nesting a term file or function name takes
+
+
+def check_nesting(depth: int, line: int | None = None) -> None:
+    """Reject nesting past NESTING_BOUND before the recursive parsers
+    and evaluators of terms and names meet it."""
+    if depth > NESTING_BOUND:
+        raise FormatError(f"nesting deeper than bound {NESTING_BOUND}", line)
 
 
 def parse_trace(text: str) -> MonotoneFn:

@@ -5,13 +5,18 @@ incomparable.  Tuples carry the pointwise order.  Tuples are encoded as
 base-3 integers (one trit per coordinate, first coordinate most
 significant) so that enumeration order, set membership and vectorized
 lookups are cheap; the encoding never leaks into file formats.
+
+Coherence has one rule here, `mask_coherent` over `bitplanes`.  A
+validated `functions.MonotoneFn` builds its trace's bitplanes once and
+keeps them, so the level, stability and mapping code read a function's
+coherence facts off the function instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArityMismatchError, FormatError
 
@@ -38,19 +43,6 @@ class Tri(enum.IntEnum):
 _CHAR_TO_TRI = {"_": Tri.BOT, "T": Tri.TT, "F": Tri.FF}
 
 BOT, TT, FF = Tri.BOT, Tri.TT, Tri.FF
-
-
-def flat_leq(a: Tri, b: Tri) -> bool:
-    return a == BOT or a == b
-
-
-def flat_lub(a: Tri, b: Tri) -> Tri | None:
-    """Least upper bound of two values, or None if there is none."""
-    if a == BOT:
-        return b
-    if b == BOT or a == b:
-        return a
-    return None
 
 
 @dataclass(frozen=True)
@@ -108,35 +100,7 @@ def _require_same_arity(x: TriTuple, y: TriTuple) -> None:
 def leq(x: TriTuple, y: TriTuple) -> bool:
     """Pointwise flat order on tuples."""
     _require_same_arity(x, y)
-    return all(flat_leq(a, b) for a, b in zip(x.entries, y.entries))
-
-
-def compatible(x: TriTuple, y: TriTuple) -> bool:
-    """True iff x and y have a common upper bound (pointwise)."""
-    _require_same_arity(x, y)
-    return all(a == BOT or b == BOT or a == b for a, b in zip(x.entries, y.entries))
-
-
-def lub(x: TriTuple, y: TriTuple) -> TriTuple | None:
-    """Pointwise least upper bound, or None when incompatible."""
-    _require_same_arity(x, y)
-    out = []
-    for a, b in zip(x.entries, y.entries):
-        v = flat_lub(a, b)
-        if v is None:
-            return None
-        out.append(v)
-    return TriTuple(tuple(out))
-
-
-def _shared_arity(tuples: Sequence[TriTuple]) -> int | None:
-    if not tuples:
-        return None
-    k = tuples[0].arity
-    for t in tuples[1:]:
-        if t.arity != k:
-            raise ArityMismatchError(f"arity mismatch: {k} vs {t.arity}")
-    return k
+    return all(a == BOT or a == b for a, b in zip(x.entries, y.entries))
 
 
 def is_coherent(tuples: Iterable[TriTuple]) -> bool:
@@ -153,11 +117,11 @@ def bitplanes(tuples: Sequence[TriTuple]) -> Bitplanes:
     """Per-coordinate (undefined, true, false) bitmasks over tuple
     positions: bit p of a coordinate's masks says what tuple p holds
     there.  A subset of the tuples is then one integer mask."""
-    k = _shared_arity(tuples)
-    if k is None:
+    if not tuples:
         return ()
-    planes = [[0, 0, 0] for _ in range(k)]
+    planes = [[0, 0, 0] for _ in range(tuples[0].arity)]
     for p, t in enumerate(tuples):
+        _require_same_arity(tuples[0], t)
         bit = 1 << p
         for plane, v in zip(planes, t.entries):
             plane[v] |= bit
@@ -171,34 +135,3 @@ def mask_coherent(mask: int, planes: Bitplanes) -> bool:
         if not mask & bot and mask & tt and mask & ff:
             return False
     return True
-
-
-def is_bot_covering(tuples: Iterable[TriTuple]) -> bool:
-    """Every coordinate is undefined in some tuple; empty set -> False
-    (no tuple can witness any coordinate)."""
-    rows = list(tuples)
-    k = _shared_arity(rows)
-    if k is None:
-        return False
-    return all(any(r.entries[c] == BOT for r in rows) for c in range(k))
-
-
-def is_egli_milner_lowerbound(lower: Iterable[TriTuple], upper: Iterable[TriTuple]) -> bool:
-    """Two-sided powerdomain order: everything in `upper` dominates some
-    element of `lower`, and everything in `lower` is dominated by some
-    element of `upper`."""
-    bs = list(lower)
-    as_ = list(upper)
-    _shared_arity(bs + as_)
-    return all(any(leq(y, x) for y in bs) for x in as_) and all(
-        any(leq(y, x) for x in as_) for y in bs
-    )
-
-
-def all_tuples(arity: int) -> Iterator[TriTuple]:
-    """All 3^k tuples of the given arity, in base-3 code order."""
-    if arity < 1:
-        raise ArityMismatchError("arity must be >= 1")
-    for code in range(3**arity):
-        yield TriTuple.decode(code, arity)
-

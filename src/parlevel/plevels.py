@@ -25,7 +25,7 @@ from .functions import (
     is_monovalued,
     trace_from_table,
 )
-from .lattice import TT, TriTuple, bitplanes, mask_coherent
+from .lattice import TriTuple, mask_coherent
 
 
 INF = math.inf  # coefficient or level coordinate of "no such subset"
@@ -73,16 +73,13 @@ def min_coherent_subset(fn: MonotoneFn, bivalued: bool) -> tuple[TriTuple, ...] 
         raise BoundExceededError(
             f"trace size {m} above coherence bound {COHERENCE_BOUND}"
         )
-    entries = fn.entries
-    planes = bitplanes(fn.inputs)
-    out_tt = sum(1 << i for i, e in enumerate(entries) if e.output == TT)
-    out_ff = ((1 << m) - 1) & ~out_tt
+    entries, planes, tt = fn.entries, fn.planes, fn.tt_mask
     bits = [1 << i for i in range(m)]
     start = 3 if bivalued else 2
     for size in range(start, m + 1):
         for combo in itertools.combinations(bits, size):
             mask = sum(combo)
-            if bivalued and not (mask & out_tt and mask & out_ff):
+            if bivalued and (mask & tt) in (0, mask):
                 continue
             if mask_coherent(mask, planes):
                 return tuple(entries[b.bit_length() - 1].input for b in combo)

@@ -15,6 +15,7 @@ encoding, which makes witnesses deterministic across runs.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -167,14 +168,10 @@ def chain_relation(j: int) -> SeqRel:
 # Brute-force invariance
 # ---------------------------------------------------------------------------
 
-_member_cache: dict[Relation, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
-    """Member tuples as an (m, n) int8 array, sorted by base-3 code."""
-    cached = _member_cache.get(rel)
-    if cached is not None:
-        return cached
+    """Member tuples as an (m, n) int8 array, sorted by base-3 code.
+    The array is cached and shared, so it is read-only."""
     n = rel.n
     rows = []
     for code in range(3**n):
@@ -182,7 +179,7 @@ def member_matrix(rel: Relation) -> np.ndarray:
         if rel.member(t):
             rows.append(t.entries)
     mat = np.array(rows, dtype=np.int8).reshape(len(rows), n)
-    _member_cache[rel] = mat
+    mat.flags.writeable = False
     return mat
 
 

@@ -2,12 +2,12 @@
 
 Each suite replays a block of results at desk scale and returns one
 pass/fail row per check.  The plevels suite checks the golden level
-table, the degree aliases, the sum and negation laws, and the zoo
-self-test (trace shapes, coefficients and stability the level table
-does not already pin down).  The heavy suite (lemmas) enumerates every
-monotone function of arity at most two and every basic relation of
-arity at most four, and takes about 13 s; the others take a second or
-two.  The acceptance tests drive these suites.
+table, the degree aliases, the sum and negation laws, the zoo self-test
+(trace shapes, coefficients and stability the level table does not
+already pin down) and the cofinal trace mappings.  The heavy suite
+(lemmas) enumerates every monotone function of arity at most two and
+every basic relation of arity at most four, and takes about 13 s; the
+others take a second or two.  The acceptance tests drive these suites.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .definability import bm_search, compare
+from .definability import MAPPING_BOUND, bm_search, cofinal_witness, compare
 from .errors import AnalysisError
 from .functions import MonotoneFn, fn_sum, is_m_sequential, is_stable, neg
 from .plevels import (
@@ -121,6 +121,15 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         same = p_level(neg(fn)) == p_level(fn)
         out.append(CheckResult(f"negation keeps level[{fn.name}]", same))
     out.extend(verify_zoo_invariants(config))
+    # cofinal construction on stable non-sequential catalog functions
+    # whose source gustave_i(cc) fits the mapping bound; the construction
+    # raises SoundnessError itself when its mapping fails check_bm
+    for fn in catalog():
+        c = cc(fn)
+        if is_stable(fn) and c != INF and gustave(c).trace_size <= MAPPING_BOUND:
+            index, _ = cofinal_witness(fn)
+            name = f"cofinal mapping gustave_i({index}) -> {fn.name}"
+            out.append(CheckResult(name, index == c, f"index {index}, cc {c}"))
     return out
 
 

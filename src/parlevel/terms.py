@@ -22,6 +22,7 @@ from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError, FormatError, InapplicableError, TermArityError
 from .functions import (
     MonotoneFn,
+    check_nesting,
     entry,
     is_ascii_number,
     is_monovalued,
@@ -280,7 +281,8 @@ def _parse_node(tokens: list[tuple[str, int]], pos: int) -> tuple[Node, int]:
 
 def parse_term(text: str) -> Term:
     """Parse a term file; an error inside the expression names the line
-    of the token it was raised at."""
+    of the token it was raised at.  Nesting is bounded
+    (`functions.NESTING_BOUND`), since parsing and evaluation recurse."""
     arity: int | None = None
     tokens: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -299,6 +301,13 @@ def parse_term(text: str) -> Term:
         raise FormatError("term file needs an 'arity <k>' line with k >= 1")
     if not tokens:
         raise FormatError("term file has no expression")
+    depth = 0
+    for tok, lineno in tokens:
+        if tok == "(":
+            depth += 1
+            check_nesting(depth, lineno)
+        elif tok == ")":
+            depth -= 1
     node, pos = _parse_node(tokens, 0)
     if pos != len(tokens):
         trailing = [tok for tok, _ in tokens[pos:]]

@@ -13,7 +13,7 @@ import re
 from typing import Iterable
 
 from .errors import FormatError
-from .functions import MonotoneFn, TraceEntry, fn_sum, neg, validate_trace
+from .functions import MonotoneFn, TraceEntry, check_nesting, fn_sum, neg, validate_trace
 from .lattice import Tri, TriTuple
 
 
@@ -114,13 +114,15 @@ _PARAM_RE = re.compile(r"^(gustave_i|por_i|ntdet|bg)\(([0-9]+)(?:,([0-9]+))?\)$"
 
 def _split_top(text: str, sep: str, original: str) -> list[str]:
     """Split `text` at each `sep` outside parentheses; unbalanced
-    parentheses are a format error."""
+    parentheses, or nesting past the bound `make`'s recursion takes,
+    are a format error."""
     parts = []
     depth = 0
     cur = []
     for ch in text:
         if ch == "(":
             depth += 1
+            check_nesting(depth)
         elif ch == ")":
             depth -= 1
             if depth < 0:

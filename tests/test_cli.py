@@ -119,6 +119,23 @@ def test_malformed_number_is_input_error(capsys, tmp_path, command, text):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["term", "{termfile}", "--oracle", "zoo:ttdet"],
+        ["analyze", "zoo:" + "neg(" * 1200 + "bp" + ")" * 1200],
+    ],
+    ids=["term-file", "zoo-name"],
+)
+def test_deep_nesting_is_input_error(capsys, tmp_path, argv):
+    termfile = tmp_path / "deep.term"
+    termfile.write_text("arity 1\n" + "(not " * 1200 + "x1" + ")" * 1200 + "\n")
+    code, _, err = run(capsys, *(a.format(termfile=termfile) for a in argv))
+    assert code == 3
+    assert err.startswith("error:") and "nesting" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["invariance", "zoo:bp", "--relation", "preseq n=3 A=\u0661 B=1,2"],
         ["invariance", "zoo:bp", "--relations", "{path}"],
         ["analyze", "zoo:por_i(\u0663)"],

@@ -1,9 +1,14 @@
 """Trace/evaluation round trips, the two constructions, and the
-stability / sequentiality predicates."""
+stability / sequentiality predicates.  Trace validation and stability
+are checked on random entry lists against the pairwise definitions."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlevel import (
     BOT,
@@ -17,8 +22,8 @@ from parlevel import (
     MonotoneFn,
     NonMonotoneTableError,
     Tri,
+    TraceEntry,
     TriTuple,
-    all_tuples,
     entry,
     fn_sum,
     format_trace,
@@ -32,6 +37,8 @@ from parlevel import (
     validate_trace,
     zoo,
 )
+from test_lattice import all_tuples, oracle_compatible, oracle_leq
+from test_plevels import random_traces
 
 
 def t(text: str) -> TriTuple:
@@ -141,6 +148,67 @@ def test_stability_examples():
     assert not is_stable(zoo.por(2))
     for i in range(1, 5):
         assert is_stable(zoo.gustave(i))
+
+
+tri = st.sampled_from([BOT, TT, FF])
+
+
+@st.composite
+def entry_lists(draw):
+    """Arity and up to six random entries, valid as a trace or not."""
+    k = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(tri, min_size=k, max_size=k), st.sampled_from([TT, FF])),
+            max_size=6,
+        )
+    )
+    return k, [TraceEntry(TriTuple(tuple(x)), out) for x, out in rows]
+
+
+@settings(deadline=None)
+@given(entry_lists())
+def test_construction_rejects_exactly_the_pairwise_violations(case):
+    k, rows = case
+    pairs = list(itertools.combinations(rows, 2))
+    comparable = any(
+        oracle_leq(a.input, b.input) or oracle_leq(b.input, a.input) for a, b in pairs
+    )
+    inconsistent = any(
+        a.output != b.output and oracle_compatible(a.input, b.input) for a, b in pairs
+    )
+    if not comparable and not inconsistent:
+        MonotoneFn(k, tuple(rows))
+        return
+    expected = []
+    if comparable:
+        expected.append(ComparableRowsError)
+    if inconsistent:
+        expected.append(InconsistentOutputsError)
+    with pytest.raises(tuple(expected)):
+        MonotoneFn(k, tuple(rows))
+
+
+@settings(deadline=None)
+@given(random_traces(arities=(2, 3, 4)))
+def test_stable_iff_no_compatible_pair(fn):
+    assert is_stable(fn) == (not any(
+        oracle_compatible(a, b) for a, b in itertools.combinations(fn.inputs, 2)
+    ))
+
+
+@settings(deadline=None)
+@given(random_traces(arities=(2, 3, 4)))
+def test_coherence_facts_match_entries(fn):
+    assert len(fn.planes) == fn.arity
+    for c, plane in enumerate(fn.planes):
+        for p, e in enumerate(fn.entries):
+            held = [bool(mask >> p & 1) for mask in plane]
+            assert held == [e.input.entries[c] == v for v in (BOT, TT, FF)]
+    for p, e in enumerate(fn.entries):
+        assert bool(fn.tt_mask >> p & 1) == (e.output == TT)
+    renamed = fn.renamed("other")
+    assert renamed == fn and hash(renamed) == hash(fn)
 
 
 def test_monovalued_examples():

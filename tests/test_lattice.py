@@ -1,5 +1,6 @@
 """Order and coherence laws on the flat domain, checked exhaustively at
-small arity and by hypothesis at arity 3."""
+small arity and by hypothesis at arity 3.  The order and compatibility
+written out by definition here are the oracles the trace tests use."""
 
 from __future__ import annotations
 
@@ -10,16 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parlevel import (
+    BOT,
     ArityMismatchError,
     Tri,
     TriTuple,
-    all_tuples,
-    compatible,
-    is_bot_covering,
     is_coherent,
-    is_egli_milner_lowerbound,
     leq,
-    lub,
 )
 
 tri = st.sampled_from([Tri.BOT, Tri.TT, Tri.FF])
@@ -35,6 +32,29 @@ def t(text: str) -> TriTuple:
     return TriTuple.from_text(text)
 
 
+def all_tuples(arity: int) -> list[TriTuple]:
+    """All 3^k tuples of the given arity, in base-3 code order."""
+    return [TriTuple.decode(code, arity) for code in range(3**arity)]
+
+
+def oracle_leq(x: TriTuple, y: TriTuple) -> bool:
+    """The pointwise flat order: each coordinate of x is undefined or
+    equal to y's."""
+    return all(a == BOT or a == b for a, b in zip(x.entries, y.entries))
+
+
+def oracle_compatible(x: TriTuple, y: TriTuple) -> bool:
+    """Compatibility by definition: some tuple lies above both."""
+    return any(oracle_leq(x, z) and oracle_leq(y, z) for z in all_tuples(x.arity))
+
+
+def bot_covering(rows) -> bool:
+    """Every coordinate is undefined in some row; no row covers nothing."""
+    return bool(rows) and all(
+        any(r.entries[c] == BOT for r in rows) for c in range(rows[0].arity)
+    )
+
+
 def test_leq_examples():
     assert leq(t("_T"), t("FT"))
     assert not leq(t("T"), t("F"))
@@ -44,6 +64,11 @@ def test_leq_examples():
 def test_leq_arity_mismatch():
     with pytest.raises(ArityMismatchError):
         leq(t("T"), t("TT"))
+
+
+def test_leq_equals_oracle_arity2():
+    for x, y in itertools.product(all_tuples(2), repeat=2):
+        assert leq(x, y) == oracle_leq(x, y)
 
 
 def test_leq_is_partial_order_arity2():
@@ -65,24 +90,10 @@ def test_leq_transitive_arity3(x, y, z):
 
 
 def test_compatible_examples():
-    assert compatible(t("_T"), t("F_"))
-    # two rows of the classic stable three-row trace
-    assert not compatible(t("_TF"), t("TF_"))
-    assert compatible(t("TF"), t("TF"))
-
-
-def test_compatible_iff_lub_exists_and_symmetric():
-    pts = list(all_tuples(2))
-    for x, y in itertools.product(pts, repeat=2):
-        assert compatible(x, y) == compatible(y, x)
-        up = lub(x, y)
-        assert compatible(x, y) == (up is not None)
-        if up is not None:
-            assert leq(x, up) and leq(y, up)
-            # least among upper bounds
-            for z in pts:
-                if leq(x, z) and leq(y, z):
-                    assert leq(up, z)
+    # two rows of the classic stable three-row trace are not compatible
+    for x, y, want in (("_T", "F_", True), ("_TF", "TF_", False), ("TF", "TF", True)):
+        assert oracle_compatible(t(x), t(y)) == want
+        assert is_coherent([t(x), t(y)]) == want
 
 
 def test_coherence_examples():
@@ -101,35 +112,28 @@ def test_coherence_not_subset_closed():
 def test_pair_coherence_is_compatibility():
     for arity in (1, 2, 3):
         for x, y in itertools.product(all_tuples(arity), repeat=2):
-            assert is_coherent([x, y]) == compatible(x, y)
+            assert is_coherent([x, y]) == oracle_compatible(x, y)
 
 
 def test_bot_covering_examples():
-    assert is_bot_covering([t("_TF"), t("TF_"), t("F_T")])
-    assert not is_bot_covering([t("T_"), t("TT")])
-    assert not is_bot_covering([])
+    rows = [t("_TF"), t("TF_"), t("F_T")]
+    assert bot_covering(rows) and is_coherent(rows)
+    assert not bot_covering([t("T_"), t("TT")])
+    assert not bot_covering([])
 
 
 def test_bot_covering_implies_coherent_exhaustive_arity2():
     pts = list(all_tuples(2))
     for size in range(1, 4):
         for subset in itertools.combinations(pts, size):
-            if is_bot_covering(subset):
+            if bot_covering(subset):
                 assert is_coherent(subset)
 
 
 @given(st.lists(tuples_of(3), min_size=1, max_size=5))
 def test_bot_covering_implies_coherent_random_arity3(rows):
-    if is_bot_covering(rows):
+    if bot_covering(rows):
         assert is_coherent(rows)
-
-
-def test_egli_milner_examples():
-    bottom = [t("__")]
-    assert is_egli_milner_lowerbound(bottom, [t("T_"), t("_F")])
-    some = [t("T_"), t("_F")]
-    assert is_egli_milner_lowerbound(some, some)
-    assert not is_egli_milner_lowerbound([t("TT")], [t("T_")])
 
 
 def test_encode_decode_roundtrip():
@@ -147,7 +151,7 @@ def test_arity_zero_rejected():
     with pytest.raises(ArityMismatchError):
         TriTuple(())
     with pytest.raises(ArityMismatchError):
-        list(all_tuples(0))
+        TriTuple.decode(0, 0)
 
 
 def test_meet_is_glb():

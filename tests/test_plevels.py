@@ -27,7 +27,6 @@ from parlevel import (
     canonical_strict,
     cc,
     classify,
-    compatible,
     enumerate_monotone,
     fn_sum,
     inexpressible_by_plevel,
@@ -45,6 +44,7 @@ from parlevel import (
 )
 from parlevel.plevels import min_coherent_subset
 from parlevel.relations import constructed_witness
+from test_lattice import oracle_compatible
 
 # brute-filter golden values: monotone total functions at arity 1 and 2
 MONOTONE_COUNT = {1: 11, 2: 197}
@@ -346,7 +346,7 @@ def random_traces(draw, arities=(3, 4), max_entries=12):
         if all(
             not leq(x, e.input)
             and not leq(e.input, x)
-            and (out == e.output or not compatible(x, e.input))
+            and (out == e.output or not oracle_compatible(x, e.input))
             for e in kept
         ):
             kept.append(TraceEntry(x, out))

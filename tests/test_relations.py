@@ -336,8 +336,16 @@ def test_parse_relation_file_takes_ascii_digits_only(line):
 
 
 def test_member_matrix_order_is_code_order():
-    from parlevel.relations import member_matrix
-
     mat = member_matrix(canonical_equal(2))
     codes = [int(3 * a + b) for a, b in mat]
     assert codes == sorted(codes)
+
+
+def test_member_matrix_is_read_only():
+    rel = chain_relation(3)
+    f2 = fn_sum(zoo.bp(), zoo.por(2))
+    assert not is_invariant(f2, rel)
+    with pytest.raises(ValueError):
+        member_matrix(rel)[:] = 0
+    assert not is_invariant(f2, rel)
+    assert member_matrix(rel) is member_matrix(rel)

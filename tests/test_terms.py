@@ -24,7 +24,6 @@ from parlevel import (
     Tri,
     TriTuple,
     Var,
-    all_tuples,
     bg_rotation_terms,
     eval_term,
     format_term,
@@ -37,7 +36,9 @@ from parlevel import (
     entry,
     zoo,
 )
+from parlevel.functions import NESTING_BOUND
 from parlevel.terms import ALLEQ, CONNECTIVES, ORACLE, alleq
+from test_lattice import all_tuples
 
 WIDE = dataclasses.replace(DEFAULT_CONFIG, table_bound=7)
 
@@ -226,6 +227,19 @@ def test_parse_term_errors_are_line_numbered(text, message, line):
         parse_term(text)
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_parse_term_nesting_bound():
+    at_bound = "arity 1\n" + "(not " * NESTING_BOUND + "x1" + ")" * NESTING_BOUND
+    identity = validate_trace(1, [entry("T", "T"), entry("F", "F")])
+    assert eval_term(parse_term(at_bound), zoo.ttdet()) == identity
+    # one '(' a line after the arity line: the first one past the bound
+    # sits on line NESTING_BOUND + 2
+    deep = "arity 1\n" + "(not\n" * 1200 + "x1" + ")" * 1200 + "\n"
+    with pytest.raises(FormatError) as exc:
+        parse_term(deep)
+    assert exc.value.line == NESTING_BOUND + 2
+    assert "nesting" in str(exc.value)
 
 
 def test_alleq_table_bound():

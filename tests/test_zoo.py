@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from parlevel import FormatError, fn_sum, neg, zoo
+from parlevel.functions import NESTING_BOUND
 from parlevel.suites import (
     CYCLIC_MATRIX_1,
     CYCLIC_MATRIX_2,
@@ -116,6 +117,13 @@ def test_make_errors():
     for unbalanced in ("bp)+(ttdet", "neg(bp))", "sum(bp,ttdet))", "neg(bp"):
         with pytest.raises(FormatError, match="unbalanced"):
             zoo.make(unbalanced)
+
+
+def test_make_nesting_bound():
+    at_bound = "neg(" * NESTING_BOUND + "bp" + ")" * NESTING_BOUND
+    assert zoo.make(at_bound) == zoo.bp()  # an even number of negations
+    with pytest.raises(FormatError, match="nesting"):
+        zoo.make("neg(" * 1200 + "bp" + ")" * 1200)
 
 
 def test_catalog_arity_filter():
