@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceededError,
     InapplicableError,
     SoundnessError,
+    state_figure,
 )
 from .functions import MonotoneFn, is_stable
 from .lattice import TT, mask_coherent
@@ -241,7 +242,7 @@ def separation_certificate(
             "invariant_side": {
                 "function": right.label,
                 "method": sep.invariant_method,
-                "states": sep.invariant_states,
+                "states": state_figure(sep.invariant_states),
             },
         },
     )

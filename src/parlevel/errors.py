@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class AnalysisError(Exception):
     """Base class for all errors raised by this package."""
@@ -36,13 +38,26 @@ class BoundExceededError(AnalysisError):
     """An input exceeds a configured enumeration or recursion bound."""
 
 
+def state_figure(count: int) -> int | str:
+    """A state count as messages and certificates show it: the count
+    itself up to 4,300 digits, the most Python turns into text unless
+    sys.set_int_max_str_digits raises the limit, else the text `~10^E`
+    with E = floor(log10(count)) in floating point."""
+    if count < 10**4300:
+        return count
+    return f"~10^{math.floor(math.log10(count))}"
+
+
 class BudgetExceededError(AnalysisError):
     """A brute-force search would exceed the configured state budget."""
 
     def __init__(self, required: int, allowed: int, what: str = "search"):
         self.required = required
         self.allowed = allowed
-        super().__init__(f"{what} needs {required} states, budget allows {allowed}")
+        super().__init__(
+            f"{what} needs {state_figure(required)} states, "
+            f"budget allows {state_figure(allowed)}"
+        )
 
 
 class InapplicableError(AnalysisError):

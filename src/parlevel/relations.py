@@ -5,6 +5,11 @@ a tuple belongs to it when some A-coordinate is undefined or all
 B-coordinates agree.  Finite intersections of these are the composite
 relations used for the sharper separation arguments.
 
+Membership is one rule per relation class, `mask`, which tests every
+row of an (r, n) trit array at once.  Listing a relation
+(`member_matrix`), the invariance search and witness replay
+(`InvarianceWitness.verify`, through `member`) all go through it.
+
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
 columns; the resulting row must again be a member.  The checker here
@@ -18,7 +23,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,14 +33,24 @@ from .errors import (
     BudgetExceededError,
     FormatError,
     SoundnessError,
+    state_figure,
 )
 from .functions import MonotoneFn, is_ascii_number, table_of
 from .lattice import BOT, Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
 
+class _Membership:
+    """`member` for one tuple, through the class's vectorized `mask`."""
+
+    def member(self, d: TriTuple) -> bool:
+        if d.arity != self.n:
+            raise ArityMismatchError(f"tuple arity {d.arity}, relation arity {self.n}")
+        return bool(self.mask(np.array([d.entries], dtype=np.int8))[0])
+
+
 @dataclass(frozen=True)
-class PreseqRel:
+class PreseqRel(_Membership):
     """Basic relation S^n_{A,B}: some A-coordinate undefined, or all
     B-coordinates equal."""
 
@@ -51,13 +66,12 @@ class PreseqRel:
         if not self.b <= set(range(1, self.n + 1)):
             raise FormatError(f"B must fit in 1..{self.n}: {set(self.b)}")
 
-    def member(self, d: TriTuple) -> bool:
-        if d.arity != self.n:
-            raise ArityMismatchError(f"tuple arity {d.arity}, relation arity {self.n}")
-        if any(d.entries[i - 1] == BOT for i in self.a):
-            return True
-        vals = {d.entries[i - 1] for i in self.b}
-        return len(vals) <= 1
+    def mask(self, y: np.ndarray) -> np.ndarray:
+        """Membership of each row of an (r, n) trit array: some A-column
+        is undefined, or every B-column equals the first."""
+        a = [i - 1 for i in sorted(self.a)]
+        b = [i - 1 for i in sorted(self.b)]
+        return (y[:, a] == BOT).any(axis=1) | (y[:, b] == y[:, b[:1]]).all(axis=1)
 
     def describe(self) -> str:
         return (
@@ -71,7 +85,7 @@ class PreseqRel:
 
 
 @dataclass(frozen=True)
-class SeqRel:
+class SeqRel(_Membership):
     """Finite intersection of basic relations of one arity."""
 
     conjuncts: tuple[PreseqRel, ...]
@@ -87,8 +101,10 @@ class SeqRel:
     def n(self) -> int:
         return self.conjuncts[0].n
 
-    def member(self, d: TriTuple) -> bool:
-        return all(c.member(d) for c in self.conjuncts)
+    def mask(self, y: np.ndarray) -> np.ndarray:
+        """Membership of each row of an (r, n) trit array in every
+        conjunct."""
+        return functools.reduce(np.logical_and, (c.mask(y) for c in self.conjuncts))
 
     def describe(self) -> str:
         parts = " ".join(
@@ -168,40 +184,23 @@ def chain_relation(j: int) -> SeqRel:
 # Brute-force invariance
 # ---------------------------------------------------------------------------
 
+CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
+
+
 @functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
     """Member tuples as an (m, n) int8 array, sorted by base-3 code.
+    The 3^n codes are decoded CHUNK at a time and filtered by `rel.mask`.
     The array is cached and shared, so it is read-only."""
-    n = rel.n
-    rows = []
-    for code in range(3**n):
-        t = TriTuple.decode(code, n)
-        if rel.member(t):
-            rows.append(t.entries)
-    mat = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+    total = 3**rel.n
+    blocks = []
+    for start in range(0, total, CHUNK):
+        codes = np.arange(start, min(start + CHUNK, total))
+        y = np.array(np.unravel_index(codes, (3,) * rel.n), dtype=np.int8).T
+        blocks.append(y[rel.mask(y)])
+    mat = np.concatenate(blocks)
     mat.flags.writeable = False
     return mat
-
-
-def _membership_mask(rel: Relation, y: np.ndarray) -> np.ndarray:
-    """Vectorized membership of rows of y (shape (c, n))."""
-    if isinstance(rel, SeqRel):
-        mask = _membership_mask(rel.conjuncts[0], y)
-        for c in rel.conjuncts[1:]:
-            mask &= _membership_mask(c, y)
-        return mask
-    a_idx = [i - 1 for i in sorted(rel.a)]
-    b_idx = [i - 1 for i in sorted(rel.b)]
-    if a_idx:
-        bot_a = (y[:, a_idx] == 0).any(axis=1)
-    else:
-        bot_a = np.zeros(len(y), dtype=bool)
-    if len(b_idx) <= 1:
-        eq_b = np.ones(len(y), dtype=bool)
-    else:
-        first = y[:, b_idx[0]:b_idx[0] + 1]
-        eq_b = (y[:, b_idx] == first).all(axis=1)
-    return bot_a | eq_b
 
 
 @dataclass(frozen=True)
@@ -228,9 +227,6 @@ class InvarianceWitness:
         return computed == self.output and not self.relation.member(self.output)
 
 
-CHUNK = 1 << 18  # row selections decoded per vectorized block
-
-
 def invariance_counterexample(
     fn: MonotoneFn, rel: Relation, config: SearchConfig = DEFAULT_CONFIG
 ) -> InvarianceWitness | None:
@@ -255,25 +251,20 @@ def invariance_counterexample(
     if required > config.budget:
         raise BudgetExceededError(required, config.budget, what="invariance check")
     tbl = np.asarray(table_of(fn), dtype=np.int8)
-    mem32 = mem.astype(np.int32)
-    weights = [m ** (k - 1 - slot) for slot in range(k)]
+    # slot s of a selection adds its row's trits at place value 3^(k-1-s)
+    # to the codes of the n columns
+    placed = [mem.astype(np.int32) * 3 ** (k - 1 - slot) for slot in range(k)]
     for start in range(0, required, CHUNK):
-        stop = min(start + CHUNK, required)
-        sel = np.arange(start, stop, dtype=np.int64)
-        codes = np.zeros((stop - start, n), dtype=np.int32)
-        for slot in range(k):
-            digit = (sel // weights[slot]) % m
-            codes = codes * 3 + mem32[digit]
-        y = tbl[codes]
-        ok = _membership_mask(rel, y)
-        bad = np.flatnonzero(~ok)
+        sel = np.arange(start, min(start + CHUNK, required))
+        picks = np.unravel_index(sel, (m,) * k)
+        y = tbl[sum(place[p] for place, p in zip(placed, picks))]
+        bad = np.flatnonzero(~rel.mask(y))
         if bad.size:
-            first = int(sel[bad[0]])
-            picks = [(first // weights[slot]) % m for slot in range(k)]
+            first = bad[0]
             inputs = tuple(
-                TriTuple(tuple(Tri(int(v)) for v in mem[i])) for i in picks
+                TriTuple(tuple(Tri(int(v)) for v in mem[p[first]])) for p in picks
             )
-            output = TriTuple(tuple(Tri(int(v)) for v in y[bad[0]]))
+            output = TriTuple(tuple(Tri(int(v)) for v in y[first]))
             return InvarianceWitness(rel, inputs, output)
     return None
 
@@ -311,18 +302,6 @@ class SeparationOutcome:
     skipped: tuple[str, ...]
 
 
-def _columns_to_witness_rows(
-    fn: MonotoneFn, columns: Sequence[TriTuple], rel: Relation
-) -> InvarianceWitness:
-    n = len(columns)
-    rows = tuple(
-        TriTuple(tuple(col.entries[r] for col in columns)) for r in range(fn.arity)
-    )
-    out = TriTuple(tuple(fn.eval(col) for col in columns))
-    assert all(t.arity == n for t in rows)
-    return InvarianceWitness(rel, rows, out)
-
-
 def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | None:
     """Build a counterexample for a canonical relation directly from a
     minimal coherent (or coherent bivalued) trace subset, then replay it.
@@ -331,32 +310,21 @@ def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | N
     coherent subset, padded by repeating the first column.  Strict
     family S^{m+1}_{m,m+1}: the columns are a coherent subset padded
     likewise, plus one final column holding the pointwise meet (the
-    function is undefined there, breaking the all-equal clause).
+    function is undefined there, breaking the all-equal clause).  Any
+    other relation fails the replay.
     """
-    size_a, size_b = len(rel.a), len(rel.b)
-    if rel.a != frozenset(range(1, size_a + 1)):
+    equal = rel.a == rel.b
+    subset = min_coherent_subset(fn, bivalued=equal)
+    if subset is None or len(subset) > len(rel.a):
         return None
-    if rel.a == rel.b:
-        want_bivalued, pad_to, add_meet = True, rel.n, False
-        if size_a != rel.n:
-            return None
-    elif size_b == size_a + 1 and rel.b == frozenset(range(1, size_b + 1)) and rel.n == size_b:
-        want_bivalued, pad_to, add_meet = False, rel.n - 1, True
-    else:
-        return None
-
-    subset = min_coherent_subset(fn, bivalued=want_bivalued)
-    if subset is None or len(subset) > pad_to:
-        return None
-    columns = list(subset)
-    while len(columns) < pad_to:
-        columns.append(columns[0])
-    if add_meet:
-        meet = columns[0]
-        for col in columns[1:]:
-            meet = meet.meet(col)
-        columns.append(meet)
-    witness = _columns_to_witness_rows(fn, columns, rel)
+    columns = list(subset) + [subset[0]] * (len(rel.a) - len(subset))
+    if not equal:
+        columns.append(functools.reduce(TriTuple.meet, columns))
+    rows = tuple(
+        TriTuple(tuple(col.entries[r] for col in columns)) for r in range(fn.arity)
+    )
+    output = TriTuple(tuple(fn.eval(col) for col in columns))
+    witness = InvarianceWitness(rel, rows, output)
     return witness if witness.verify(fn) else None
 
 
@@ -391,19 +359,21 @@ def find_separating_relation(
                 "but the constructed witness does not replay"
             )
         states = basic_members(rel) ** right.arity
-        if max(states, 3**rel.n) <= config.budget:
-            if not is_invariant(right, rel, config):
+        try:
+            invariant = is_invariant(right, rel, config)
+        except BudgetExceededError:
+            skipped.append(
+                f"{rel}: invariant side needs {state_figure(states)} states "
+                f"(budget {config.budget}), justified by level instead"
+            )
+            method = "level"
+        else:
+            if not invariant:
                 raise SoundnessError(
                     f"{right.label} predicted invariant under {rel} "
                     "but a counterexample exists"
                 )
             method = "brute"
-        else:
-            skipped.append(
-                f"{rel}: invariant side needs {states} states "
-                f"(budget {config.budget}), justified by level instead"
-            )
-            method = "level"
         return SeparationOutcome(
             Separation(rel, witness, method, states), tuple(skipped)
         )
@@ -448,6 +418,14 @@ def _parse_indices(text: str, lineno: int | None) -> frozenset[int]:
     return frozenset(int(p) for p in parts)
 
 
+def _conjunct(n: int, a_text: str, b_text: str, lineno: int | None) -> PreseqRel:
+    a, b = _parse_indices(a_text, lineno), _parse_indices(b_text, lineno)
+    try:
+        return PreseqRel(n, a, b)
+    except (FormatError, ArityMismatchError) as exc:
+        raise FormatError(str(exc), lineno) from None
+
+
 def parse_relation(line: str, lineno: int | None = None) -> Relation:
     m = _IDX_RE.match(line.strip())
     if not m:
@@ -460,24 +438,11 @@ def parse_relation(line: str, lineno: int | None = None) -> Relation:
         parts = rest.split()
         if len(parts) != 2 or not parts[0].startswith("A=") or not parts[1].startswith("B="):
             raise FormatError(f"bad relation line {line!r}", lineno)
-        a = _parse_indices(parts[0][2:], lineno)
-        b = _parse_indices(parts[1][2:], lineno)
-        try:
-            return PreseqRel(n, a, b)
-        except (FormatError, ArityMismatchError) as exc:
-            raise FormatError(str(exc), lineno) from None
+        return _conjunct(n, parts[0][2:], parts[1][2:], lineno)
     pairs = _PAIR_RE.findall(rest)
     if not pairs or _PAIR_RE.sub("", rest).strip():
         raise FormatError(f"bad relation line {line!r}", lineno)
-    conjuncts = []
-    for a_text, b_text in pairs:
-        try:
-            conjuncts.append(
-                PreseqRel(n, _parse_indices(a_text, lineno), _parse_indices(b_text, lineno))
-            )
-        except (FormatError, ArityMismatchError) as exc:
-            raise FormatError(str(exc), lineno) from None
-    return SeqRel(tuple(conjuncts))
+    return SeqRel(tuple(_conjunct(n, a_text, b_text, lineno) for a_text, b_text in pairs))
 
 
 def parse_relation_file(text: str) -> list[Relation]:

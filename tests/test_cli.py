@@ -288,3 +288,41 @@ def test_verify_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(r["passed"] for r in rows)
+
+
+def test_huge_state_count_is_a_budget_error(capsys):
+    """All 3^3100 tuples belong to S^3100 with A = B = {}, so checking a
+    ternary function needs 3^9300 states, a figure of 4,438 digits."""
+    code, _, err = run(capsys, "invariance", "zoo:bp", "--relation", "preseq n=3100 A= B=")
+    assert code == 4
+    assert err == "error: invariance check needs ~10^4437 states, budget allows 100000000\n"
+
+
+def test_compare_reports_huge_state_count(capsys, tmp_path):
+    """por_i(2) breaks S^3_{3,3}, and the arity-5000 right side's
+    invariance under it would take 21^5000 states, a 6,612-digit figure."""
+    n = 5000
+    trace = tmp_path / "wide.trace"
+    trace.write_text(
+        f"arity {n}\n"
+        f"TT{'_' * (n - 2)} -> T\nT_T{'_' * (n - 3)} -> T\n"
+        f"_TT{'_' * (n - 3)} -> T\n{'F' * n} -> F\n"
+    )
+    cert_path = tmp_path / "certs.json"
+    code, out, err = run(
+        capsys, "compare", "zoo:por_i(2)", str(trace), "--json", "--emit-cert", str(cert_path)
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    note = (
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs ~10^6611 states "
+        "(budget 100000000), justified by level instead"
+    )
+    assert note in json.loads(out)["notes"]
+    [cert] = json.loads(cert_path.read_text())
+    assert cert["payload"]["invariant_side"] == {
+        "function": "wide", "method": "level", "states": "~10^6611"
+    }
+    code, out, _ = run(capsys, "compare", "zoo:por_i(2)", str(trace))
+    assert code == 2
+    assert f"note: {note}" in out

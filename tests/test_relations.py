@@ -4,16 +4,21 @@ canonicalization, chains, and the separating-relation search."""
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parlevel import (
+    ArityMismatchError,
     BudgetExceededError,
     DEFAULT_CONFIG,
     FormatError,
+    InvarianceWitness,
     PreseqRel,
     SeqRel,
     SoundnessError,
@@ -32,7 +37,10 @@ from parlevel import (
     parse_relation_file,
     zoo,
 )
-from parlevel.relations import basic_members, member_matrix
+from parlevel.errors import state_figure
+from parlevel.lattice import BOT, Tri
+from parlevel.relations import CHUNK, basic_members, member_matrix
+from test_plevels import random_traces
 
 
 def t(text: str) -> TriTuple:
@@ -41,6 +49,76 @@ def t(text: str) -> TriTuple:
 
 def rel(n, a, b) -> PreseqRel:
     return PreseqRel(n, frozenset(a), frozenset(b))
+
+
+def conjuncts_of(relation) -> tuple[PreseqRel, ...]:
+    return relation.conjuncts if isinstance(relation, SeqRel) else (relation,)
+
+
+def oracle_rule(relation):
+    """Membership from the definition, as a test on one tuple's entries:
+    in every conjunct, some A-coordinate is undefined or all
+    B-coordinates agree."""
+    index_sets = [
+        ([i - 1 for i in c.a], [i - 1 for i in c.b]) for c in conjuncts_of(relation)
+    ]
+    return lambda entries: all(
+        BOT in [entries[i] for i in a] or len({entries[i] for i in b}) <= 1
+        for a, b in index_sets
+    )
+
+
+def oracle_listing(relation) -> list[tuple[Tri, ...]]:
+    """Members one tuple at a time; itertools.product over (_, T, F)
+    walks the tuples in base-3 code order."""
+    member = oracle_rule(relation)
+    return [e for e in itertools.product(Tri, repeat=relation.n) if member(e)]
+
+
+def oracle_counterexample(fn, relation) -> InvarianceWitness | None:
+    """The first selection of member rows, in lexicographic order, whose
+    columnwise image under fn leaves the relation."""
+    member = oracle_rule(relation)
+    image = functools.cache(lambda column: fn.eval(TriTuple(column)))
+    for rows in itertools.product(oracle_listing(relation), repeat=fn.arity):
+        output = tuple(image(column) for column in zip(*rows))
+        if not member(output):
+            return InvarianceWitness(
+                relation, tuple(map(TriTuple, rows)), TriTuple(output)
+            )
+    return None
+
+
+def all_basic_relations(max_arity: int) -> list[PreseqRel]:
+    return [
+        rel(n, a, b)
+        for n in range(1, max_arity + 1)
+        for b_size in range(n + 1)
+        for b in itertools.combinations(range(1, n + 1), b_size)
+        for a_size in range(b_size + 1)
+        for a in itertools.combinations(b, a_size)
+    ]
+
+
+@st.composite
+def basic_relations(draw, n: int) -> PreseqRel:
+    """B leaves out at most one index and A at most one index of B, so
+    the large index sets, the only ones a small function can break, come
+    up often."""
+    b = set(range(1, n + 1)) - draw(st.sets(st.integers(1, n), max_size=1))
+    a = b - draw(st.sets(st.integers(1, n), max_size=1))
+    return rel(n, a, b)
+
+
+@st.composite
+def small_relations(draw):
+    """A basic relation of arity <= 3, or an intersection of two.  Arity
+    3, where the witnesses are, is drawn half the time."""
+    n = draw(st.sampled_from((3, 3, 2, 1)))
+    first = draw(basic_relations(n))
+    if draw(st.booleans()):
+        return first
+    return SeqRel((first, draw(basic_relations(n))))
 
 
 def test_member_examples():
@@ -53,8 +131,10 @@ def test_member_examples():
 
 
 def test_member_requires_matching_arity():
-    with pytest.raises(Exception):
+    with pytest.raises(ArityMismatchError):
         rel(2, {1}, {1, 2}).member(t("TTT"))
+    with pytest.raises(ArityMismatchError):
+        chain_relation(3).member(t("TT"))
 
 
 def test_relation_validation():
@@ -71,6 +151,29 @@ def test_seqrel_membership_is_conjunction():
     for code in range(27):
         d = TriTuple.decode(code, 3)
         assert r.member(d) == all(c.member(d) for c in r.conjuncts)
+
+
+def test_member_matrix_equals_per_tuple_listing():
+    """chain_relation(12) has 3^12 codes, more than one CHUNK."""
+    assert 3**12 > CHUNK
+    small = all_basic_relations(4) + [chain_relation(j) for j in range(2, 7)]
+    for r in small + [chain_relation(12)]:
+        assert list(map(tuple, member_matrix(r).tolist())) == oracle_listing(r), r
+    for r in small:
+        tuples = [TriTuple(entries) for entries in itertools.product(Tri, repeat=r.n)]
+        mask = r.mask(np.array([d.entries for d in tuples], dtype=np.int8))
+        assert mask.tolist() == [r.member(d) for d in tuples], r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(random_traces(arities=(1, 2, 3)), st.sampled_from(zoo.catalog(max_arity=3))),
+    small_relations(),
+)
+def test_invariance_search_equals_definition_oracle(fn, relation):
+    """Catalog functions join the random traces because few of those are
+    non-sequential, and only non-sequential functions have witnesses."""
+    assert invariance_counterexample(fn, relation) == oracle_counterexample(fn, relation)
 
 
 def test_invariance_examples():
@@ -113,6 +216,14 @@ def test_budget_error_reports_required_and_allowed():
         is_invariant(zoo.bp(), canonical_equal(3), small)
     assert exc.value.allowed == 10
     assert exc.value.required == 21**3
+
+
+def test_state_figure_writes_long_counts_as_a_power_of_ten():
+    assert state_figure(10**4300 - 1) == 10**4300 - 1
+    assert state_figure(21**5000) == "~10^6611"
+    exc = BudgetExceededError(3**9300, 10**8, what="invariance check")
+    assert str(exc) == "invariance check needs ~10^4437 states, budget allows 100000000"
+    assert exc.required == 3**9300
 
 
 def test_basic_members_closed_form():
@@ -315,6 +426,15 @@ def test_parse_relation_file_and_errors():
     with pytest.raises(FormatError) as exc:
         parse_relation_file("preseq n=2 A=1 B=1,2\nnonsense\n")
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line", ["preseq n=3 A=1,,2 B=1,2", "seqrel n=3 {A=1,,2 B=1,2}"]
+)
+def test_bad_index_list_names_its_line_once(line):
+    with pytest.raises(FormatError) as exc:
+        parse_relation_file(f"# relations\n{line}\n")
+    assert str(exc.value) == "line 2: bad index list '1,,2'"
 
 
 @pytest.mark.parametrize(
