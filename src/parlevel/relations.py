@@ -6,16 +6,22 @@ B-coordinates agree.  Finite intersections of these are the composite
 relations used for the sharper separation arguments.
 
 Membership is one rule per relation class, `mask`, which tests every
-row of an (r, n) trit array at once.  Listing a relation
-(`member_matrix`), the invariance search and witness replay
-(`InvarianceWitness.verify`, through `member`) all go through it.
+row of an (r, n) trit array at once.  A relation's one listing applies
+it to all 3^n tuples, giving the members (`member_matrix`) and a
+membership vector indexed by tuple code, which the invariance search
+reads; witness replay (`InvarianceWitness.verify`, through `member`)
+calls the rule itself.
 
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
 columns; the resulting row must again be a member.  The checker here
-enumerates all |R|^k row selections (vectorized, chunked) and returns
-the first counterexample in lexicographic order of the base-3 tuple
-encoding, which makes witnesses deterministic across runs.
+enumerates all |R|^k row selections with a broadcast kernel: a block of
+column codes is a decoded prefix of picks plus a precomputed outer sum
+over the last picks.  It returns the first counterexample in
+lexicographic order of the picks, members taken in base-3 code order,
+which makes witnesses deterministic across runs.  The budget gate runs
+on every call; the search behind it is memoized per (function,
+relation), as its result does not depend on the budget.
 """
 
 from __future__ import annotations
@@ -185,22 +191,35 @@ def chain_relation(j: int) -> SeqRel:
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
+INDEX_LIMIT = 2**63  # row selections an int64 flat index can number
+
+
+@functools.lru_cache(maxsize=1024)
+def _listing(rel: Relation) -> tuple[np.ndarray, np.ndarray]:
+    """`rel.mask` over all 3^n tuples, decoded CHUNK codes at a time:
+    the members as an (m, n) int8 array sorted by base-3 code, and the
+    membership vector, one bool per code.  Both are cached and shared,
+    so they are read-only."""
+    total = 3**rel.n
+    member = np.empty(total, dtype=bool)
+    blocks = []
+    for start in range(0, total, CHUNK):
+        codes = np.arange(start, min(start + CHUNK, total))
+        y = np.array(np.unravel_index(codes, (3,) * rel.n), dtype=np.int8).T
+        keep = rel.mask(y)
+        member[start : start + len(codes)] = keep
+        blocks.append(y[keep])
+    mat = np.concatenate(blocks)
+    mat.flags.writeable = False
+    member.flags.writeable = False
+    return mat, member
 
 
 @functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
     """Member tuples as an (m, n) int8 array, sorted by base-3 code.
-    The 3^n codes are decoded CHUNK at a time and filtered by `rel.mask`.
     The array is cached and shared, so it is read-only."""
-    total = 3**rel.n
-    blocks = []
-    for start in range(0, total, CHUNK):
-        codes = np.arange(start, min(start + CHUNK, total))
-        y = np.array(np.unravel_index(codes, (3,) * rel.n), dtype=np.int8).T
-        blocks.append(y[rel.mask(y)])
-    mat = np.concatenate(blocks)
-    mat.flags.writeable = False
-    return mat
+    return _listing(rel)[0]
 
 
 @dataclass(frozen=True)
@@ -234,38 +253,74 @@ def invariance_counterexample(
     invariant.  Raises BudgetExceededError before touching a search
     whose state count, or whose relation's 3^n tuples, are above the
     budget; a basic relation's state count is known before enumerating
-    it, so that check comes first."""
+    it, so that check comes first.  A state count above INDEX_LIMIT is
+    refused whatever the budget, as no int64 index can number it.
+
+    The gate runs on every call; the search behind it does not read the
+    budget and is memoized per (fn, rel)."""
     k = fn.arity
-    n = rel.n
+    limit = min(config.budget, INDEX_LIMIT)
     if isinstance(rel, PreseqRel):
         required = basic_members(rel) ** k
-        if required > config.budget:
-            raise BudgetExceededError(required, config.budget, what="invariance check")
-    if 3**n > config.budget:
-        raise BudgetExceededError(3**n, config.budget, what="relation enumeration")
-    mem = member_matrix(rel)
-    m = len(mem)
-    if m == 0:
-        return None
-    required = m**k
-    if required > config.budget:
-        raise BudgetExceededError(required, config.budget, what="invariance check")
-    tbl = np.asarray(table_of(fn), dtype=np.int8)
-    # slot s of a selection adds its row's trits at place value 3^(k-1-s)
-    # to the codes of the n columns
-    placed = [mem.astype(np.int32) * 3 ** (k - 1 - slot) for slot in range(k)]
-    for start in range(0, required, CHUNK):
-        sel = np.arange(start, min(start + CHUNK, required))
-        picks = np.unravel_index(sel, (m,) * k)
-        y = tbl[sum(place[p] for place, p in zip(placed, picks))]
-        bad = np.flatnonzero(~rel.mask(y))
-        if bad.size:
-            first = bad[0]
-            inputs = tuple(
-                TriTuple(tuple(Tri(int(v)) for v in mem[p[first]])) for p in picks
+        if required > limit:
+            raise BudgetExceededError(required, limit, what="invariance check")
+    if 3**rel.n > config.budget:
+        raise BudgetExceededError(3**rel.n, config.budget, what="relation enumeration")
+    required = len(member_matrix(rel)) ** k
+    if required > limit:
+        raise BudgetExceededError(required, limit, what="invariance check")
+    return _first_counterexample(fn, rel)
+
+
+@functools.lru_cache(maxsize=4096)
+def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | None:
+    """The first of the m^k row selections, in lexicographic order of
+    their picks, whose columnwise image leaves the relation.
+
+    Slot t of a selection adds its row's trits at place value 3^(k-1-t)
+    to the codes of the n columns.  The last s slots, the most with
+    m^s <= CHUNK, are summed once into `suffix`, every pick of them in
+    order; a block of prefixes (the first k - s picks) is decoded when
+    it is reached and broadcast against it, so that a block holds at
+    most CHUNK selections in row-major, that is lexicographic, order.
+    Each column code maps through the place-weighted table to its share
+    of the output code, and one lookup in the membership vector tests
+    every output row."""
+    mem, member = _listing(rel)
+    m, n, k = len(mem), rel.n, fn.arity
+    tbl = np.asarray(table_of(fn), dtype=np.intp)
+    weighted = [tbl * 3 ** (n - 1 - j) for j in range(n)]
+    placed = [mem.T.astype(np.intp) * 3 ** (k - 1 - t) for t in range(k)]
+    s = 0
+    while s < k and m ** (s + 1) <= CHUNK:
+        s += 1
+    suffix = np.zeros((n, 1), dtype=np.intp)
+    for t in range(k - s, k):
+        suffix = (suffix[:, :, None] + placed[t][:, None, :]).reshape(n, -1)
+    width = suffix.shape[1]
+    prefixes = m ** (k - s)
+    step = CHUNK // width
+    for start in range(0, prefixes, step):
+        rest = np.arange(start, min(start + step, prefixes))
+        prefix = np.zeros((n, len(rest)), dtype=np.intp)
+        for t in range(k - s - 1, -1, -1):
+            rest, pick = np.divmod(rest, m)
+            prefix += placed[t][:, pick]
+        out = sum(w[p[:, None] + q] for w, p, q in zip(weighted, prefix, suffix))
+        good = member[out]
+        if not good.all():
+            index = start * width + int(np.argmin(good))
+            picks = []
+            for _ in range(k):
+                index, pick = divmod(index, m)
+                picks.append(pick)
+            rows = mem[picks[::-1]]
+            output = tbl[3 ** np.arange(k - 1, -1, -1) @ rows]
+            return InvarianceWitness(
+                rel,
+                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in rows),
+                TriTuple(tuple(map(Tri, output.tolist()))),
             )
-            output = TriTuple(tuple(Tri(int(v)) for v in y[first]))
-            return InvarianceWitness(rel, inputs, output)
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -296,6 +297,32 @@ def test_huge_state_count_is_a_budget_error(capsys):
     code, _, err = run(capsys, "invariance", "zoo:bp", "--relation", "preseq n=3100 A= B=")
     assert code == 4
     assert err == "error: invariance check needs ~10^4437 states, budget allows 100000000\n"
+
+
+@pytest.mark.parametrize(
+    "name, relation, states",
+    [
+        # all 3^14 tuples belong to S^14 with A = B = {}: 3^42 selections
+        ("bp", "preseq n=14 A= B=", 3**42),
+        # a composite's member count is known only after listing its 3^8 tuples
+        ("gustave_i(2)", "seqrel n=8 {A= B=}", 3**40),
+    ],
+)
+def test_selection_count_above_int64_is_a_budget_error(capsys, name, relation, states):
+    """No int64 index numbers more than 2^63 selections, so such a search
+    is refused up front, whatever the budget."""
+    assert states > 2**63
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "invariance", f"zoo:{name}", "--relation", relation,
+        "--budget", "1000000000000000000000",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert err == (
+        f"error: invariance check needs {states} states, "
+        f"budget allows {2**63}\n"
+    )
 
 
 def test_compare_reports_huge_state_count(capsys, tmp_path):

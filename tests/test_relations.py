@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parlevel.relations as relations
+
 from parlevel import (
     ArityMismatchError,
     BudgetExceededError,
     DEFAULT_CONFIG,
     FormatError,
+    INF,
     InvarianceWitness,
     PreseqRel,
     SeqRel,
@@ -28,11 +31,13 @@ from parlevel import (
     canonicalize,
     chain_relation,
     compare,
+    enumerate_monotone,
     find_separating_relation,
     fn_sum,
     format_relation,
     invariance_counterexample,
     is_invariant,
+    p_level,
     parse_relation,
     parse_relation_file,
     zoo,
@@ -174,6 +179,75 @@ def test_invariance_search_equals_definition_oracle(fn, relation):
     """Catalog functions join the random traces because few of those are
     non-sequential, and only non-sequential functions have witnesses."""
     assert invariance_counterexample(fn, relation) == oracle_counterexample(fn, relation)
+
+
+# functions with witnesses under arity-3 relations: the catalog's, and
+# the binary monotone functions of finite level, few of which are
+# symmetric in their arguments
+NON_SEQUENTIAL = zoo.catalog(max_arity=3) + [
+    fn for fn in enumerate_monotone(2) if p_level(fn).j != INF
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(NON_SEQUENTIAL),
+    st.one_of(
+        basic_relations(3),
+        st.builds(lambda a, b: SeqRel((a, b)), basic_relations(3), basic_relations(3)),
+    ),
+    st.sampled_from((7, 50)),
+)
+def test_kernel_blocks_split_mid_selection(fn, relation, chunk):
+    """With CHUNK below m^k, a block holds a few whole selections that
+    cross from one prefix to the next (CHUNK < m), or several prefixes
+    of fewer than k picks, each broadcast against every suffix.  The
+    arity-3 relations that give witnesses have 17 or 21 members, so at
+    CHUNK 50 a block holds two prefixes.  The memo is cleared so that
+    the search runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "CHUNK", chunk)
+        relations._first_counterexample.cache_clear()
+        found = invariance_counterexample(fn, relation)
+    assert found == oracle_counterexample(fn, relation)
+
+
+def test_budget_gate_runs_on_memo_hits():
+    """The memo sits behind the budget gate: a pair searched at the
+    default budget is still refused at budget 10, with the same error,
+    and a pair refused at budget 10 is searched at the default budget."""
+    small = dataclasses.replace(DEFAULT_CONFIG, budget=10)
+    fn, searched_first, refused_first = zoo.bp(), canonical_equal(3), chain_relation(3)
+    relations._first_counterexample.cache_clear()
+    with pytest.raises(BudgetExceededError) as cold:
+        invariance_counterexample(fn, searched_first, small)
+    witness = invariance_counterexample(fn, searched_first)
+    assert witness == oracle_counterexample(fn, searched_first)
+    with pytest.raises(BudgetExceededError) as hit:
+        invariance_counterexample(fn, searched_first, small)
+    assert str(hit.value) == str(cold.value)
+    assert (hit.value.required, hit.value.allowed) == (21**3, 10)
+    assert relations._first_counterexample.cache_info().hits == 0
+
+    with pytest.raises(BudgetExceededError):
+        invariance_counterexample(fn, refused_first, small)
+    assert invariance_counterexample(fn, refused_first) == oracle_counterexample(
+        fn, refused_first
+    )
+    assert relations._first_counterexample.cache_info().currsize == 2
+
+
+def test_equal_functions_under_other_names_share_witnesses():
+    r = canonical_equal(3)
+    fn = zoo.por(2)
+    other = fn.renamed("other")
+    assert other == fn and other.name != fn.name
+    relations._first_counterexample.cache_clear()
+    witness = invariance_counterexample(fn, r)
+    assert witness is not None and witness.verify(other)
+    assert invariance_counterexample(other, r) == witness
+    relations._first_counterexample.cache_clear()
+    assert invariance_counterexample(other, r) == witness
 
 
 def test_invariance_examples():
