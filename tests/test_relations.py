@@ -181,9 +181,10 @@ def test_invariance_search_equals_definition_oracle(fn, relation):
     assert invariance_counterexample(fn, relation) == oracle_counterexample(fn, relation)
 
 
-# functions with witnesses under arity-3 relations: the catalog's, and
-# the binary monotone functions of finite level, few of which are
-# symmetric in their arguments
+# functions with witnesses under arity-3 relations: the catalog's, most
+# of them symmetric or cyclic in their arguments, and the 34 binary
+# monotone functions of finite level, 20 of them not symmetric, so that
+# a kernel that mixes up its slots gives another witness
 NON_SEQUENTIAL = zoo.catalog(max_arity=3) + [
     fn for fn in enumerate_monotone(2) if p_level(fn).j != INF
 ]
