@@ -191,7 +191,7 @@ def chain_relation(j: int) -> SeqRel:
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
-INDEX_LIMIT = 2**63  # row selections an int64 flat index can number
+INDEX_LIMIT = 2**63  # selections or tuple codes an int64 index can number
 
 
 @functools.lru_cache(maxsize=1024)
@@ -253,8 +253,8 @@ def invariance_counterexample(
     invariant.  Raises BudgetExceededError before touching a search
     whose state count, or whose relation's 3^n tuples, are above the
     budget; a basic relation's state count is known before enumerating
-    it, so that check comes first.  A state count above INDEX_LIMIT is
-    refused whatever the budget, as no int64 index can number it.
+    it, so that check comes first.  A count above INDEX_LIMIT is refused
+    whatever the budget, as no int64 index can number it.
 
     The gate runs on every call; the search behind it does not read the
     budget and is memoized per (fn, rel)."""
@@ -264,8 +264,8 @@ def invariance_counterexample(
         required = basic_members(rel) ** k
         if required > limit:
             raise BudgetExceededError(required, limit, what="invariance check")
-    if 3**rel.n > config.budget:
-        raise BudgetExceededError(3**rel.n, config.budget, what="relation enumeration")
+    if 3**rel.n > limit:
+        raise BudgetExceededError(3**rel.n, limit, what="relation enumeration")
     required = len(member_matrix(rel)) ** k
     if required > limit:
         raise BudgetExceededError(required, limit, what="invariance check")

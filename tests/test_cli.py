@@ -300,17 +300,19 @@ def test_huge_state_count_is_a_budget_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "name, relation, states",
+    "name, relation, what, states",
     [
         # all 3^14 tuples belong to S^14 with A = B = {}: 3^42 selections
-        ("bp", "preseq n=14 A= B=", 3**42),
+        ("bp", "preseq n=14 A= B=", "invariance check", 3**42),
         # a composite's member count is known only after listing its 3^8 tuples
-        ("gustave_i(2)", "seqrel n=8 {A= B=}", 3**40),
+        ("gustave_i(2)", "seqrel n=8 {A= B=}", "invariance check", 3**40),
+        # and listing 3^40 tuples is refused before it starts
+        ("bp", "seqrel n=40 {A=1 B=1,2}", "relation enumeration", 3**40),
     ],
 )
-def test_selection_count_above_int64_is_a_budget_error(capsys, name, relation, states):
-    """No int64 index numbers more than 2^63 selections, so such a search
-    is refused up front, whatever the budget."""
+def test_count_above_int64_is_a_budget_error(capsys, name, relation, what, states):
+    """No int64 index numbers more than 2^63 selections or tuple codes,
+    so such a search is refused up front, whatever the budget."""
     assert states > 2**63
     start = time.perf_counter()
     code, _, err = run(
@@ -319,10 +321,7 @@ def test_selection_count_above_int64_is_a_budget_error(capsys, name, relation, s
     )
     assert time.perf_counter() - start < 2
     assert code == 4
-    assert err == (
-        f"error: invariance check needs {states} states, "
-        f"budget allows {2**63}\n"
-    )
+    assert err == f"error: {what} needs {states} states, budget allows {2**63}\n"
 
 
 def test_compare_reports_huge_state_count(capsys, tmp_path):
