@@ -219,22 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--budget": dict(type=int, help="brute-force state budget"),
+        "--max-rel-arity": dict(type=int, help="largest relation arity searched"),
+        "--table-bound": dict(type=int, help="max arity for full-table evaluation"),
+    }
 
-    def add_common(p, budget=False, table=False):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if budget:
-            p.add_argument("--budget", type=int, help="brute-force state budget")
-            p.add_argument(
-                "--max-rel-arity", type=int, help="largest relation arity searched"
-            )
-        if table:
-            p.add_argument(
-                "--table-bound", type=int, help="max arity for full-table evaluation"
-            )
+    def add_flags(p, *names):  # only the flags the command reads
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("analyze", help="classify a function (trace file or zoo:NAME)")
     p.add_argument("input")
-    add_common(p)
+    add_flags(p, "--json")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("compare", help="compare two functions for definability")
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also try term-template certificates")
     p.add_argument("--relations", help="file of extra relations to try")
     p.add_argument("--emit-cert", help="write evidence certificates to PATH")
-    add_common(p, budget=True, table=True)
+    add_flags(p, "--json", "--budget", "--max-rel-arity", "--table-bound")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("invariance", help="check invariance under relations")
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--relation", help="one relation, e.g. 'preseq n=3 A=1,2 B=1,2,3'")
     group.add_argument("--relations", help="file with one relation per line")
-    add_common(p, budget=True)
+    add_flags(p, "--json", "--budget")
     p.set_defaults(fn=cmd_invariance)
 
     p = sub.add_parser("term", help="evaluate a term file at an oracle function")
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="trace file or zoo:NAME")
     p.add_argument("--name", help="label for the resulting function")
     p.add_argument("-o", "--output", help="write the resulting trace here")
-    add_common(p, table=True)
+    add_flags(p, "--table-bound")
     p.set_defaults(fn=cmd_term)
 
     p = sub.add_parser("zoo", help="list named functions or emit a trace file")
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", "plevels", "lemmas", "hierarchies", "terms"],
     )
-    add_common(p, budget=True, table=True)
+    add_flags(p, "--json", "--budget", "--max-rel-arity", "--table-bound")
     p.set_defaults(fn=cmd_verify)
 
     return parser

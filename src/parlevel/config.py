@@ -18,8 +18,10 @@ class SearchConfig:
                          |trace(g)|^|trace(f)|)
     max_rel_arity     -- largest relation arity tried when hunting for
                          separating relations
-    table_bound       -- max arity for which a full 3^k table may be
-                         materialized (term evaluation, table round trips)
+    table_bound       -- max arity of a full 3^k table term evaluation
+                         builds: the term's, the oracle's and each
+                         all-equal probe's (a table of more than 2^63
+                         cells is refused whatever the bound)
     """
 
     budget: int = 10**8

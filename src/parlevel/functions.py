@@ -2,8 +2,14 @@
 
 A function is stored as its trace: the set of minimal inputs on which it
 becomes defined, each paired with the value taken there.  The trace is
-the canonical form; full tables are only materialized on demand and
-under a configured arity bound.
+the canonical form.  A full table (`table_of`) is a flat int8 array in
+numpy's row-major (3,)*k layout, so its index is the base-3 input code
+and `reshape((3,) * k)` gives one axis per coordinate.  Tables are built
+on demand, and every caller bounds their 3^k cells: `table_bound`
+covers each table term evaluation builds (`terms.eval_term`),
+`RECURSION_BOUND` covers `is_m_sequential`, and the invariance budget
+covers the kernel's, since every relation has at least its three
+constant tuples, so |R|^k >= 3^k.
 
 A validated function also carries its trace's coherence facts, built
 once at construction: the bitplanes of its inputs (`planes`, see
@@ -18,6 +24,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     ArityMismatchError,
@@ -145,78 +153,80 @@ def entry(text: str, output: str | Tri) -> TraceEntry:
 
 
 @functools.lru_cache(maxsize=4096)
-def table_of(fn: MonotoneFn) -> tuple[int, ...]:
-    """Full table of `fn` as trit codes indexed by base-3 input code.
+def table_of(fn: MonotoneFn) -> np.ndarray:
+    """Full table of `fn` as a read-only int8 array of trit codes, laid
+    out as numpy's row-major (3,)*k cube flattened, so the base-3 input
+    code is the index.
 
-    Filled by spraying each trace entry over its upper set; consistency
-    of the trace makes overlapping writes agree.
+    Filled by writing each trace entry over its upper set, the sub-cube
+    left free at the entry's undefined coordinates; consistency of the
+    trace makes overlapping writes agree.
     """
-    k = fn.arity
-    table = [0] * 3**k
+    cube = np.zeros((3,) * fn.arity, dtype=np.int8)
     for e in fn.entries:
-        free = [c for c in range(k) if e.input.entries[c] == BOT]
-        base = e.input.encode()
-        out = int(e.output)
-        for fill in itertools.product((0, 1, 2), repeat=len(free)):
-            code = base
-            for c, v in zip(free, fill):
-                code += v * 3 ** (k - 1 - c)
-            table[code] = out
-    return tuple(table)
+        upper = tuple(slice(None) if v == BOT else v for v in e.input.entries)
+        cube[upper] = e.output
+    table = cube.reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
-def _check_monotone_codes(k: int, vals: Sequence[int]) -> tuple[int, int] | None:
-    """Return a violating covering pair of codes, or None if monotone.
+def _lowerings(cubes: np.ndarray, arity: int):
+    """The lowered-coordinate rule over the (3,)*arity cubes in the last
+    axes of `cubes`, one coordinate c at a time: a cell whose value is
+    defined once c is lowered to undefined must equal that value.
+    Yields c, the index of the cells where c is T or F, which of them
+    are defined with c lowered (`covered`), and which of those break
+    the rule (`wrong`, a length-2 axis at c); monotone means none do."""
+    for c in range(arity):
+        rest = (slice(None),) * (arity - 1 - c)
+        raised = (..., slice(1, None), *rest)
+        low = cubes[(..., slice(0, 1), *rest)]
+        covered = low != 0
+        yield c, raised, covered, covered & (cubes[raised] != low)
 
-    Monotonicity over the product of flat domains reduces to the covering
-    pairs: raise one undefined coordinate to a defined value.
-    """
-    pow3 = [3 ** (k - 1 - c) for c in range(k)]
-    for code, v in enumerate(vals):
-        if v == 0:
-            continue
-        for c in range(k):
-            if (code // pow3[c]) % 3 == 0:
-                for up in (1, 2):
-                    hi = code + up * pow3[c]
-                    if vals[hi] != v:
-                        return (code, hi)
-    return None
+
+def monotone_tables(tables: np.ndarray, arity: int) -> np.ndarray:
+    """Which of a batch of tables, one per row in `table_of`'s layout,
+    are monotone."""
+    cubes = tables.reshape((len(tables),) + (3,) * arity)
+    ok = np.ones(len(tables), dtype=bool)
+    for *_, wrong in _lowerings(cubes, arity):
+        ok &= ~wrong.reshape(len(tables), -1).any(axis=1)
+    return ok
 
 
 def trace_from_table(
     arity: int, table: Sequence[int], name: str | None = None
 ) -> MonotoneFn:
     """Extract the trace from a total table of trit codes indexed by
-    base-3 input code; rejects non-monotone tables naming one violating
-    pair."""
-    vals = [int(v) for v in table]
-    if len(vals) != 3**arity:
+    base-3 input code: the defined cells no coordinate's lowering keeps
+    defined.  A table that breaks the lowered-coordinate rule is
+    rejected, naming the violating pair with the least lower input,
+    then coordinate, then raised value."""
+    cube = np.asarray(table, dtype=np.int8)
+    if cube.size != 3**arity:
         raise ArityMismatchError(
-            f"table has {len(vals)} rows, expected {3**arity} for arity {arity}"
+            f"table has {cube.size} rows, expected {3**arity} for arity {arity}"
         )
+    cube = cube.reshape((3,) * arity)
+    minimal = cube != 0
+    bad = []
+    for c, raised, covered, wrong in _lowerings(cube, arity):
+        minimal[raised] &= ~covered
+        for *rest, up in np.argwhere(np.moveaxis(wrong, c, -1))[:1].tolist():
+            bad.append(((*rest[:c], 0, *rest[c:]), c, up + 1))
+    if bad:
+        low, c, up = min(bad)
+        high = low[:c] + (up,) + low[c + 1 :]
+        raise NonMonotoneTableError(_point(low).text, _point(high).text)
+    cells = np.argwhere(minimal).tolist()
+    rows = tuple(TraceEntry(_point(x), Tri(cube[tuple(x)])) for x in cells)
+    return MonotoneFn(arity, rows, name)
 
-    bad = _check_monotone_codes(arity, vals)
-    if bad is not None:
-        lo, hi = bad
-        raise NonMonotoneTableError(
-            TriTuple.decode(lo, arity).text, TriTuple.decode(hi, arity).text
-        )
 
-    pow3 = [3 ** (arity - 1 - c) for c in range(arity)]
-    rows = []
-    for code, v in enumerate(vals):
-        if v == 0:
-            continue
-        minimal = True
-        for c in range(arity):
-            trit = (code // pow3[c]) % 3
-            if trit != 0 and vals[code - trit * pow3[c]] != 0:
-                minimal = False
-                break
-        if minimal:
-            rows.append(TraceEntry(TriTuple.decode(code, arity), Tri(v)))
-    return MonotoneFn(arity, tuple(rows), name)
+def _point(cell: Sequence[int]) -> TriTuple:
+    return TriTuple(tuple(map(Tri, cell)))
 
 
 def neg(fn: MonotoneFn) -> MonotoneFn:
@@ -275,33 +285,19 @@ def is_m_sequential(fn: MonotoneFn) -> bool:
         raise BoundExceededError(
             f"arity {fn.arity} above recursion bound {RECURSION_BOUND}"
         )
-    return _mseq_table(table_of(fn), fn.arity)
+    return _mseq_table(table_of(fn).tobytes(), fn.arity)
 
 
 @functools.lru_cache(maxsize=200_000)
-def _mseq_table(vals: tuple[int, ...], k: int) -> bool:
-    if len(set(vals)) == 1:
+def _mseq_table(cells: bytes, k: int) -> bool:
+    cube = np.frombuffer(cells, dtype=np.int8).reshape((3,) * k)
+    if (cube == cells[0]).all():
         return True
-    pow3 = [3 ** (k - 1 - c) for c in range(k)]
     for i in range(k):
-        strict = all(
-            v == 0 for code, v in enumerate(vals) if (code // pow3[i]) % 3 == 0
-        )
-        if not strict:
-            continue
-        if k == 1:
-            return True  # residuals are single values, hence constant
-        ok = True
-        for fixed in (1, 2):
-            residual = tuple(
-                vals[code]
-                for code in range(len(vals))
-                if (code // pow3[i]) % 3 == fixed
-            )
-            if not _mseq_table(residual, k - 1):
-                ok = False
-                break
-        if ok:
+        by_arg = np.moveaxis(cube, i, 0)
+        if not by_arg[0].any() and all(
+            _mseq_table(by_arg[v].tobytes(), k - 1) for v in (1, 2)
+        ):
             return True
     return False
 

@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import BoundExceededError
 from .functions import (
     MonotoneFn,
-    _check_monotone_codes,
     is_bivalued,
     is_monovalued,
+    monotone_tables,
     trace_from_table,
 )
 from .lattice import TriTuple, mask_coherent
@@ -223,7 +225,6 @@ def enumerate_monotone(arity: int) -> Iterator[MonotoneFn]:
         raise BoundExceededError(
             f"arity {arity} above enumeration bound {ENUMERATION_BOUND}"
         )
-    size = 3**arity
-    for vals in itertools.product((0, 1, 2), repeat=size):
-        if _check_monotone_codes(arity, vals) is None:
-            yield trace_from_table(arity, vals)
+    tables = np.indices((3,) * 3**arity, dtype=np.int8).reshape(3**arity, -1).T
+    for table in tables[monotone_tables(tables, arity)]:
+        yield trace_from_table(arity, table)

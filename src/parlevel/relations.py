@@ -215,10 +215,9 @@ def _listing(rel: Relation) -> tuple[np.ndarray, np.ndarray]:
     return mat, member
 
 
-@functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
     """Member tuples as an (m, n) int8 array, sorted by base-3 code.
-    The array is cached and shared, so it is read-only."""
+    The array is `_listing`'s, cached and shared, so it is read-only."""
     return _listing(rel)[0]
 
 

@@ -31,6 +31,7 @@ from .functions import (
     validate_trace,
 )
 from .lattice import BOT, FF, TT, Tri
+from .relations import INDEX_LIMIT
 
 ORACLE = "g"
 
@@ -111,41 +112,41 @@ def eval_term(
     term: Term, oracle: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> MonotoneFn:
     """Tabulate the term over all 3^k inputs at once, one trit column
-    per node: a variable is its base-3 digit, a constant is constant,
-    and the oracle and the connectives alike look their table up at the
-    codes the argument columns spell.  Rebuilding the trace from the
-    root column re-checks monotonicity rather than assuming it."""
+    per node: a variable is its coordinate of the (3,)*k cube, a
+    constant is constant, and the oracle and the connectives alike look
+    their table up at the codes the argument columns spell.  Rebuilding
+    the trace from the root column re-checks monotonicity rather than
+    assuming it.  Each table built, the term's, the oracle's and each
+    alleq's, is bounded by `table_bound`, and by INDEX_LIMIT cells."""
+
+    def check_table(width: int, what: str) -> None:
+        if width > config.table_bound:
+            raise BoundExceededError(f"{what} above table bound {config.table_bound}")
+        if 3**width > INDEX_LIMIT:
+            raise BoundExceededError(f"{what} needs 3^{width} table cells, above 2^63")
+
     k = term.arity
-    if k > config.table_bound:
-        raise BoundExceededError(
-            f"term arity {k} above table bound {config.table_bound}"
-        )
+    check_table(k, f"term arity {k}")
+    check_table(oracle.arity, f"oracle arity {oracle.arity}")
     validate_term(term, oracle.arity)
-    inputs = np.arange(3**k)
+    coords = np.indices((3,) * k, dtype=np.int8).reshape(k, -1)
 
     def column(node: Node) -> np.ndarray:
         if isinstance(node, Var):
-            return (inputs // 3 ** (k - node.index) % 3).astype(np.int8)
+            return coords[node.index - 1]
         if isinstance(node, Const):
-            return np.full(inputs.shape, node.value, dtype=np.int8)
+            return np.full(3**k, node.value, dtype=np.int8)
         if node.fn == ORACLE:
             fn = oracle
         elif node.fn == ALLEQ:
-            if len(node.args) > config.table_bound:
-                raise BoundExceededError(
-                    f"{ALLEQ} over {len(node.args)} arguments above table "
-                    f"bound {config.table_bound}"
-                )
+            check_table(len(node.args), f"{ALLEQ} over {len(node.args)} arguments")
             fn = alleq(len(node.args))
         else:
             fn = CONNECTIVES[node.fn]
-        code = np.zeros(inputs.shape, dtype=np.int64)
-        for a in node.args:
-            code *= 3
-            code += column(a)
-        return np.array(table_of(fn), dtype=np.int8)[code]
+        args = [column(a) for a in node.args]
+        return table_of(fn)[np.ravel_multi_index(args, (3,) * fn.arity)]
 
-    return trace_from_table(k, column(term.root).tolist())
+    return trace_from_table(k, column(term.root))
 
 
 def inline_oracle(outer: Term, inner: Term) -> Term:

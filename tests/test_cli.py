@@ -264,6 +264,49 @@ def test_term_command(capsys, tmp_path):
     assert out.splitlines()[1:] == por3_text.splitlines()[1:]
 
 
+@pytest.mark.parametrize(
+    "arity, oracle, flags, message",
+    [
+        # an arity-40 oracle over the default table bound
+        (1, "{wide}", [], "oracle arity 40 above table bound 6"),
+        # 3^40 cells are more than an int64 index numbers, whatever the bound
+        (40, "zoo:ttdet", ["--table-bound", "40"],
+         "term arity 40 needs 3^40 table cells, above 2^63"),
+    ],
+    ids=["oracle-over-bound", "term-above-int64"],
+)
+def test_oversized_table_is_input_error(capsys, tmp_path, arity, oracle, flags, message):
+    wide = tmp_path / "wide.trace"
+    wide.write_text("arity 40\nT" + "_" * 39 + " -> T\n")
+    termfile = tmp_path / "t.term"
+    args = " x1" * 40 if arity == 1 else " x1 x2"
+    termfile.write_text(f"arity {arity}\n(g{args})\n")
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "term", str(termfile), "--oracle", oracle.format(wide=wide), *flags
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["term", "{termfile}", "--oracle", "zoo:ttdet", "--json"],
+        ["invariance", "zoo:bp", "--relation", "preseq n=3 A=1 B=1,2", "--max-rel-arity", "3"],
+    ],
+    ids=["term-json", "invariance-max-rel-arity"],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
+    termfile = tmp_path / "t.term"
+    termfile.write_text("arity 1\n(not x1)\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(termfile=termfile) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_zoo_list(capsys):
     code, out, _ = run(capsys, "zoo", "list")
     assert code == 0

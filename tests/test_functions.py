@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parlevel import (
@@ -38,7 +39,7 @@ from parlevel import (
     zoo,
 )
 from test_lattice import all_tuples, oracle_compatible, oracle_leq
-from test_plevels import random_traces
+from test_plevels import oracle_first_violation, random_traces
 
 
 def t(text: str) -> TriTuple:
@@ -69,12 +70,31 @@ def test_trace_from_table_constant():
     assert fn.entries == (entry("___", "T"),)
 
 
-def test_trace_from_table_rejects_non_monotone():
-    table = [TT, FF, BOT]  # codes of _, T, F
+@st.composite
+def non_monotone_tables(draw):
+    """Arity 1-4 tables the scalar scan rejects: uniform random ones, or
+    a monotone table (of a random trace) with a few cells overwritten."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.integers(0, 2), min_size=3**k, max_size=3**k))
+    else:
+        vals = list(table_of(draw(random_traces(arities=(k,)))))
+        for _ in range(draw(st.integers(1, 3))):
+            vals[draw(st.integers(0, 3**k - 1))] = draw(st.integers(0, 2))
+    assume(oracle_first_violation(k, vals) is not None)
+    return k, vals
+
+
+@settings(deadline=None)
+@given(non_monotone_tables())
+@example((1, [TT, FF, BOT]))  # codes of _, T, F
+def test_trace_from_table_rejects_non_monotone(case):
+    k, table = case
     with pytest.raises(NonMonotoneTableError) as exc:
-        trace_from_table(1, table)
-    assert exc.value.low == "_"
-    assert exc.value.high in ("T", "F")
+        trace_from_table(k, table)
+    low, high = oracle_first_violation(k, table)
+    assert exc.value.low == TriTuple.decode(low, k).text
+    assert exc.value.high == TriTuple.decode(high, k).text
 
 
 def test_trace_from_table_rejects_wrong_row_count():
@@ -239,22 +259,20 @@ def test_table_roundtrip_all_zoo():
 
 def test_eval_monotone_on_covering_pairs():
     for fn in zoo.catalog(max_arity=4):
-        table = table_of(fn)
-        k = fn.arity
-        pow3 = [3 ** (k - 1 - c) for c in range(k)]
-        for code in range(3**k):
-            for c in range(k):
-                if (code // pow3[c]) % 3 == 0:
-                    for up in (1, 2):
-                        hi = code + up * pow3[c]
-                        assert table[code] == 0 or table[code] == table[hi]
+        assert oracle_first_violation(fn.arity, table_of(fn)) is None, fn.name
 
 
-def test_eval_agrees_with_table():
-    fn = zoo.bivalued_gustave(2, 1)
+@settings(deadline=None)
+@given(st.one_of(
+    random_traces(arities=(1, 2, 3, 4, 5)), st.sampled_from(zoo.catalog(max_arity=5))
+))
+@example(zoo.bivalued_gustave(2, 1))
+def test_eval_agrees_with_table(fn):
     table = table_of(fn)
+    assert table.dtype == np.int8 and not table.flags.writeable
     for x in all_tuples(fn.arity):
         assert int(fn.eval(x)) == table[x.encode()]
+    assert trace_from_table(fn.arity, table) == fn
 
 
 def test_entries_sorted_canonically():

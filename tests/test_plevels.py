@@ -195,6 +195,24 @@ def test_report_json_field_order():
     assert (seq["cc"], seq["bcc"], seq["plevel"]) == ("inf", "inf", ["inf", "inf"])
 
 
+def oracle_first_violation(k: int, vals) -> tuple[int, int] | None:
+    """Scalar monotonicity scan over the covering pairs (raise one
+    undefined coordinate to a defined value): the first pair of codes
+    whose values differ, by lower code, then coordinate, then raised
+    value; None when the table is monotone."""
+    pow3 = [3 ** (k - 1 - c) for c in range(k)]
+    for code, v in enumerate(vals):
+        if v == 0:
+            continue
+        for c in range(k):
+            if (code // pow3[c]) % 3 == 0:
+                for up in (1, 2):
+                    hi = code + up * pow3[c]
+                    if vals[hi] != v:
+                        return (code, hi)
+    return None
+
+
 def test_enumeration_counts_and_validity():
     for arity, count in MONOTONE_COUNT.items():
         seen = set()
@@ -207,6 +225,13 @@ def test_enumeration_counts_and_validity():
             # table round trip on every yielded function
             assert trace_from_table(arity, list(table_of(fn))) == fn
         assert n == count
+        # the same functions, in order, as the scalar scan filters them
+        expected = [
+            trace_from_table(arity, vals)
+            for vals in itertools.product((0, 1, 2), repeat=3**arity)
+            if oracle_first_violation(arity, vals) is None
+        ]
+        assert list(enumerate_monotone(arity)) == expected
 
 
 def test_enumeration_bound():
@@ -223,6 +248,11 @@ def test_classify_sequential_matches_recursive_test():
     for arity in (1, 2):
         for fn in enumerate_monotone(arity):
             assert classify(fn).sequential == is_m_sequential(fn)
+    for fn in zoo.catalog(max_arity=6):
+        assert is_m_sequential(fn) == (cc(fn) == INF), fn.name
+    for arity in (3, 4):
+        for fn in sampled_monotone(arity, count=300, seed=20261018 + arity):
+            assert is_m_sequential(fn) == (cc(fn) == INF), fn
 
 
 def sampled_monotone(arity: int, count: int, seed: int):
