@@ -20,8 +20,9 @@ class SearchConfig:
                          separating relations
     table_bound       -- max arity of a full 3^k table term evaluation
                          builds: the term's, the oracle's and each
-                         all-equal probe's (a table of more than 2^63
-                         cells is refused whatever the bound)
+                         all-equal probe's (a table of more than
+                         relations.CELL_LIMIT = 10^8 cells is refused
+                         whatever the bound)
     """
 
     budget: int = 10**8

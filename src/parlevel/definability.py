@@ -26,7 +26,7 @@ from .errors import (
     state_figure,
 )
 from .functions import MonotoneFn, is_stable
-from .lattice import TT, mask_coherent
+from .lattice import mask_coherent
 from .plevels import min_coherent_subset
 from .relations import (
     Relation,
@@ -71,34 +71,22 @@ def _check_mapping_bound(source: MonotoneFn) -> None:
         )
 
 
-def _coherent_masks(fn: MonotoneFn) -> list[list[int]]:
-    """Non-singleton coherent subsets of the trace as masks over entry
-    positions, grouped by their highest position."""
-    planes = fn.planes
-    by_max: list[list[int]] = [[] for _ in range(fn.trace_size)]
-    for mask in range(1 << fn.trace_size):
-        if mask.bit_count() >= 2 and mask_coherent(mask, planes):
-            by_max[mask.bit_length() - 1].append(mask)
-    return by_max
-
-
-def _images_ok(masks, assignment, src_out, tgt_out, tplanes) -> bool:
+def _images_ok(masks, assignment, src_tt, tgt_tt, tplanes) -> bool:
     """The mapping condition on the given source masks: each image is a
     coherent set of two or more target entries, and source entries with
-    different outputs keep different outputs.  `src_out`/`tgt_out` are
-    the trace outputs as ints, `tplanes` the target's bitplanes."""
+    different outputs keep different outputs.  `src_tt`/`tgt_tt` are
+    the traces' true-output masks, `tplanes` the target's bitplanes."""
     for mask in masks:
         image = outs_tt = outs_ff = 0
         bits = mask
         while bits:
             low = bits & -bits
-            i = low.bit_length() - 1
-            t = assignment[i]
+            t = assignment[low.bit_length() - 1]
             image |= 1 << t
-            if src_out[i] == TT:
-                outs_tt |= 1 << tgt_out[t]
+            if src_tt & low:
+                outs_tt |= 1 << (tgt_tt >> t & 1)
             else:
-                outs_ff |= 1 << tgt_out[t]
+                outs_ff |= 1 << (tgt_tt >> t & 1)
             bits ^= low
         if image.bit_count() < 2 or not mask_coherent(image, tplanes):
             return False
@@ -107,18 +95,13 @@ def _images_ok(masks, assignment, src_out, tgt_out, tplanes) -> bool:
     return True
 
 
-def _outputs(fn: MonotoneFn) -> list[int]:
-    return [int(e.output) for e in fn.entries]
-
-
 def check_bm(mapping: BMMapping) -> bool:
     """Exact check over ALL source subsets (coherence is not closed
     under subsets, so minimal subsets alone would not do)."""
     src, tgt = mapping.source, mapping.target
     _check_mapping_bound(src)
-    masks = [mask for group in _coherent_masks(src) for mask in group]
     return _images_ok(
-        masks, mapping.assignment, _outputs(src), _outputs(tgt), tgt.planes
+        src.coherent_subsets, mapping.assignment, src.tt_mask, tgt.tt_mask, tgt.planes
     )
 
 
@@ -137,18 +120,18 @@ def bm_search(
         raise BudgetExceededError(raw, config.budget, what="mapping search")
 
     # a subset is checked once its highest entry is assigned
-    by_max = _coherent_masks(f)
-    tplanes = g.planes
-    src_out, tgt_out = _outputs(f), _outputs(g)
+    by_max: list[list[int]] = [[] for _ in range(m)]
+    for mask in f.coherent_subsets:
+        by_max[mask.bit_length() - 1].append(mask)
+    src_tt, tgt_tt, tplanes = f.tt_mask, g.tt_mask, g.planes
     assignment: list[int] = []
 
     def dfs(depth: int) -> bool:
         if depth == m:
             return True
-        masks = by_max[depth]
         for t in range(g.trace_size):
             assignment.append(t)
-            if _images_ok(masks, assignment, src_out, tgt_out, tplanes) and dfs(depth + 1):
+            if _images_ok(by_max[depth], assignment, src_tt, tgt_tt, tplanes) and dfs(depth + 1):
                 return True
             assignment.pop()
         return False
@@ -172,12 +155,8 @@ def cofinal_witness(fn: MonotoneFn) -> tuple[int, BMMapping]:
         raise InapplicableError("function is sequential; nothing to witness")
     index = len(subset)
     source = gustave(index)
-    subset_idx = [
-        next(i for i, e in enumerate(fn.entries) if e.input == t) for t in subset
-    ]
-    assignment = tuple(
-        subset_idx[s % len(subset_idx)] for s in range(source.trace_size)
-    )
+    subset_idx = [fn.inputs.index(t) for t in subset]
+    assignment = tuple(subset_idx[s % index] for s in range(source.trace_size))
     mapping = BMMapping(source, fn, assignment)
     if not check_bm(mapping):
         raise SoundnessError("cofinal mapping failed verification")

@@ -38,12 +38,15 @@ class BoundExceededError(AnalysisError):
     """An input exceeds a configured enumeration or recursion bound."""
 
 
+FIGURE_LIMIT = 10**4300  # the least count of more than 4,300 digits
+
+
 def state_figure(count: int) -> int | str:
     """A state count as messages and certificates show it: the count
     itself up to 4,300 digits, the most Python turns into text unless
     sys.set_int_max_str_digits raises the limit, else the text `~10^E`
     with E = floor(log10(count)) in floating point."""
-    if count < 10**4300:
+    if count < FIGURE_LIMIT:
         return count
     return f"~10^{math.floor(math.log10(count))}"
 

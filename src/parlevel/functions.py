@@ -14,8 +14,8 @@ constant tuples, so |R|^k >= 3^k.
 A validated function also carries its trace's coherence facts, built
 once at construction: the bitplanes of its inputs (`planes`, see
 `lattice.bitplanes`) and the mask of its true-valued entries
-(`tt_mask`).  Validation, stability, the coherence coefficients and the
-trace-mapping check all read these fields.
+(`tt_mask`); its `coherent_subsets` are listed on first use.  The
+levels, validation, stability and trace mappings read these facts.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .errors import (
     InconsistentOutputsError,
     NonMonotoneTableError,
 )
-from .lattice import BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, mask_coherent
+from .lattice import (
+    BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, mask_coherent, masks_coherent
+)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class MonotoneFn:
     incomparable, and compatible (coherent) input pairs agree on the
     output.  It keeps the inputs' bitplanes and the mask of true-valued
     entries, bit p standing for entry p.  Equality ignores the optional
-    name and these derived fields.
+    name and these derived facts.
     """
 
     arity: int
@@ -103,6 +105,20 @@ class MonotoneFn:
                 raise InconsistentOutputsError(
                     f"compatible inputs with different outputs: {a} and {b}"
                 )
+
+    @functools.cached_property
+    def coherent_subsets(self) -> list[int]:
+        """Masks of the coherent subsets of two or more entries, by size,
+        then in `itertools.combinations` order.  Callers bound m (2^m masks)."""
+        # all masks with entry 0 in before out, then entry 1, and so on
+        masks = np.zeros(1, dtype=np.int64)
+        sizes = np.zeros(1, dtype=np.int8)
+        for p in reversed(range(self.trace_size)):
+            masks = np.concatenate((masks | (1 << p), masks))
+            sizes = np.concatenate((sizes + 1, sizes))
+        keep = (sizes >= 2) & masks_coherent(masks, self.planes)
+        by_size = np.argsort(sizes[keep], kind="stable")
+        return masks[keep][by_size].tolist()
 
     @property
     def trace_size(self) -> int:

@@ -6,10 +6,10 @@ base-3 integers (one trit per coordinate, first coordinate most
 significant) so that enumeration order, set membership and vectorized
 lookups are cheap; the encoding never leaks into file formats.
 
-Coherence has one rule here, `mask_coherent` over `bitplanes`.  A
-validated `functions.MonotoneFn` builds its trace's bitplanes once and
-keeps them, so the level, stability and mapping code read a function's
-coherence facts off the function instead of rebuilding them.
+Coherence has one rule here, `mask_coherent` over `bitplanes`, and its
+vector form `masks_coherent`.  A `functions.MonotoneFn` keeps its
+trace's bitplanes and coherent subsets, so the level, stability and
+mapping code read them off the function instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ArityMismatchError, FormatError
 
@@ -135,3 +137,13 @@ def mask_coherent(mask: int, planes: Bitplanes) -> bool:
         if not mask & bot and mask & tt and mask & ff:
             return False
     return True
+
+
+def masks_coherent(masks: np.ndarray, planes: Bitplanes) -> np.ndarray:
+    """`mask_coherent` over an int array of masks, one bool per mask; a
+    coordinate that holds only one defined value has nothing to test."""
+    ok = np.ones(masks.shape, dtype=bool)
+    for bot, tt, ff in planes:
+        if tt and ff:
+            ok &= ((masks & bot) != 0) | ((masks & tt) == 0) | ((masks & ff) == 0)
+    return ok

@@ -12,7 +12,6 @@ two coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -27,7 +26,7 @@ from .functions import (
     monotone_tables,
     trace_from_table,
 )
-from .lattice import TriTuple, mask_coherent
+from .lattice import TriTuple
 
 
 INF = math.inf  # coefficient or level coordinate of "no such subset"
@@ -66,25 +65,19 @@ COHERENCE_BOUND = 20  # largest trace the coherent-subset scan takes
 
 
 def min_coherent_subset(fn: MonotoneFn, bivalued: bool) -> tuple[TriTuple, ...] | None:
-    """Smallest coherent subset of the trace inputs (bivalued on demand),
-    searched in increasing size so the first hit is minimal.  None when
-    no qualifying subset exists.
+    """Smallest coherent subset of the trace inputs (bivalued on demand,
+    then of size >= 3, as coherent pairs agree in output): the first in
+    `fn.coherent_subsets` that qualifies, or None when none does.
     """
     m = fn.trace_size
     if m > COHERENCE_BOUND:
         raise BoundExceededError(
             f"trace size {m} above coherence bound {COHERENCE_BOUND}"
         )
-    entries, planes, tt = fn.entries, fn.planes, fn.tt_mask
-    bits = [1 << i for i in range(m)]
-    start = 3 if bivalued else 2
-    for size in range(start, m + 1):
-        for combo in itertools.combinations(bits, size):
-            mask = sum(combo)
-            if bivalued and (mask & tt) in (0, mask):
-                continue
-            if mask_coherent(mask, planes):
-                return tuple(entries[b.bit_length() - 1].input for b in combo)
+    tt = fn.tt_mask
+    for mask in fn.coherent_subsets:
+        if not bivalued or (mask & tt) not in (0, mask):
+            return tuple(e.input for p, e in enumerate(fn.entries) if mask >> p & 1)
     return None
 
 

@@ -192,6 +192,7 @@ def chain_relation(j: int) -> SeqRel:
 
 CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
 INDEX_LIMIT = 2**63  # selections or tuple codes an int64 index can number
+CELL_LIMIT = 10**8  # cells of an input-sized array: a relation listing or a table
 
 
 @functools.lru_cache(maxsize=1024)
@@ -199,8 +200,11 @@ def _listing(rel: Relation) -> tuple[np.ndarray, np.ndarray]:
     """`rel.mask` over all 3^n tuples, decoded CHUNK codes at a time:
     the members as an (m, n) int8 array sorted by base-3 code, and the
     membership vector, one bool per code.  Both are cached and shared,
-    so they are read-only."""
+    so they are read-only.  More than CELL_LIMIT codes are refused
+    whatever the budget."""
     total = 3**rel.n
+    if total > CELL_LIMIT:
+        raise BudgetExceededError(total, CELL_LIMIT, what="relation enumeration")
     member = np.empty(total, dtype=bool)
     blocks = []
     for start in range(0, total, CHUNK):

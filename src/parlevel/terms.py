@@ -31,7 +31,7 @@ from .functions import (
     validate_trace,
 )
 from .lattice import BOT, FF, TT, Tri
-from .relations import INDEX_LIMIT
+from .relations import CELL_LIMIT, INDEX_LIMIT
 
 ORACLE = "g"
 
@@ -117,13 +117,14 @@ def eval_term(
     their table up at the codes the argument columns spell.  Rebuilding
     the trace from the root column re-checks monotonicity rather than
     assuming it.  Each table built, the term's, the oracle's and each
-    alleq's, is bounded by `table_bound`, and by INDEX_LIMIT cells."""
+    alleq's, is bounded by `table_bound` and by CELL_LIMIT cells."""
 
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
             raise BoundExceededError(f"{what} above table bound {config.table_bound}")
-        if 3**width > INDEX_LIMIT:
-            raise BoundExceededError(f"{what} needs 3^{width} table cells, above 2^63")
+        if 3**width > CELL_LIMIT:
+            cap = "2^63" if 3**width > INDEX_LIMIT else f"cell cap {CELL_LIMIT}"
+            raise BoundExceededError(f"{what} needs 3^{width} table cells, above {cap}")
 
     k = term.arity
     check_table(k, f"term arity {k}")

@@ -272,8 +272,11 @@ def test_term_command(capsys, tmp_path):
         # 3^40 cells are more than an int64 index numbers, whatever the bound
         (40, "zoo:ttdet", ["--table-bound", "40"],
          "term arity 40 needs 3^40 table cells, above 2^63"),
+        # 3^30 cells would take 5.49 PiB of int64 codes: above the fixed cell cap
+        (30, "zoo:ttdet", ["--table-bound", "30"],
+         "term arity 30 needs 3^30 table cells, above cell cap 100000000"),
     ],
-    ids=["oracle-over-bound", "term-above-int64"],
+    ids=["oracle-over-bound", "term-above-int64", "term-above-cell-cap"],
 )
 def test_oversized_table_is_input_error(capsys, tmp_path, arity, oracle, flags, message):
     wide = tmp_path / "wide.trace"
@@ -365,6 +368,20 @@ def test_count_above_int64_is_a_budget_error(capsys, name, relation, what, state
     assert time.perf_counter() - start < 2
     assert code == 4
     assert err == f"error: {what} needs {states} states, budget allows {2**63}\n"
+
+
+def test_listing_above_cell_cap_is_a_budget_error(capsys):
+    """S^30 with A = B = {} holds all 3^30 tuples, under the raised budget
+    for a unary function, but listing them would take 187 TiB: the fixed
+    cell cap refuses it whatever the budget."""
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "invariance", "zoo:ntdet(1)", "--relation", "preseq n=30 A= B=",
+        "--budget", "1000000000000000",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert err == f"error: relation enumeration needs {3**30} states, budget allows {10**8}\n"
 
 
 def test_compare_reports_huge_state_count(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Coefficients, levels, the invariance prediction, classification, the
 exhaustive enumeration oracle, and, on random traces, the coherent-subset
-scan against a plain combinations oracle and the constructed witnesses
-by replay."""
+listing and scan against the scalar rule and a plain combinations
+oracle and the constructed witnesses by replay."""
 
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from parlevel import (
     canonical_strict,
     cc,
     classify,
+    entry,
     enumerate_monotone,
     fn_sum,
     inexpressible_by_plevel,
@@ -42,6 +43,7 @@ from parlevel import (
     validate_trace,
     zoo,
 )
+from parlevel.lattice import mask_coherent
 from parlevel.plevels import min_coherent_subset
 from parlevel.relations import constructed_witness
 from test_lattice import oracle_compatible
@@ -88,6 +90,19 @@ def test_p_level_golden():
 
 def test_coherence_bound_error():
     assert cc(zoo.ntdet(20)) == 2  # the bound itself is accepted
+    # the first 20 total tuples of arity 5: no two are coherent
+    rows = ["".join(t) for t in itertools.product("TF", repeat=5)][:20]
+    total = validate_trace(5, [entry(r, "T") for r in rows])
+    assert cc(total) == bcc(total) == INF
+    # entry p undefined at coordinate p only: every subset is coherent
+    every = validate_trace(
+        20, [entry("T" * p + "_" + "T" * (19 - p), "T") for p in range(20)]
+    )
+    assert min_coherent_subset(every, bivalued=False) == (
+        TriTuple.from_text("_" + "T" * 19),
+        TriTuple.from_text("T_" + "T" * 18),
+    )
+    assert cc(every) == 2 and bcc(every) == INF
     with pytest.raises(BoundExceededError, match="coherence bound 20"):
         cc(zoo.ntdet(21))
 
@@ -388,6 +403,14 @@ def random_traces(draw, arities=(3, 4), max_entries=12):
 def test_min_coherent_subset_equals_combinations_oracle(fn):
     for bivalued in (False, True):
         assert min_coherent_subset(fn, bivalued) == oracle_min_subset(fn, bivalued)
+    # the listing holds the scalar rule's subsets, by size, then in
+    # combinations order (entry 0 in before out, then entry 1, ...)
+    m, listing = fn.trace_size, fn.coherent_subsets
+    scalar = [x for x in range(1 << m) if x.bit_count() >= 2 and mask_coherent(x, fn.planes)]
+    assert len(listing) == len(scalar) and set(listing) == set(scalar)
+    assert listing == sorted(
+        listing, key=lambda x: (x.bit_count(), [-(x >> p & 1) for p in range(m)])
+    )
 
 
 @settings(deadline=None)
