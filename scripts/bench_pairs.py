@@ -3,15 +3,16 @@
 
     python scripts/bench_pairs.py PARENT_REV CHANGE_REV [--pairs 10]
 
-Both commits are exported with `git archive` into a temporary directory,
-so only committed files run.  For each seed 1..N and each workload of
-the change's BENCHMARK.json, one fresh `perfbench/run.py` process runs
-the parent and one runs the change, the parent first on odd seeds and
-the change first on even ones.  The change's
-`perfbench/compare.py` gives each end-to-end metric its verdict.  The
-output, in the repository root, is named after CHANGE_REV and holds the
-machine facts (Python, numpy, nproc), every run's metrics and grades,
-the medians with quartiles, and the verdicts.
+Both commits are exported with `git archive`, each into its own
+temporary directory, so only committed files run, and a commit can be
+paired with itself to measure the noise floor (an A/A run).  For each
+seed 1..N and each workload of the change's BENCHMARK.json, one fresh
+`perfbench/run.py` process runs the parent and one runs the change, the
+parent first on odd seeds and the change first on even ones.  The
+change's `perfbench/compare.py` gives each end-to-end metric its
+verdict.  The output, in the repository root, is named after CHANGE_REV
+and holds the machine facts (Python, numpy, nproc), every run's metrics
+and grades, the medians with quartiles, and the verdicts.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def export(rev: str, into: Path) -> tuple[str, Path]:
+def export(rev: str, tree: Path) -> str:
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
                          capture_output=True, text=True, check=True).stdout.strip()
-    tree = into / sha
     tree.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-    return sha, tree
+    return sha
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
@@ -62,8 +62,9 @@ def main() -> int:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        parent_sha, parent_tree = export(args.parent, Path(tmp))
-        change_sha, change_tree = export(args.change, Path(tmp))
+        parent_tree, change_tree = Path(tmp) / "parent", Path(tmp) / "change"
+        parent_sha = export(args.parent, parent_tree)
+        change_sha = export(args.change, change_tree)
         sys.path.insert(0, str(change_tree / "perfbench"))
         import compare
 

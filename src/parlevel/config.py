@@ -21,7 +21,7 @@ class SearchConfig:
     table_bound       -- max arity of a full 3^k table term evaluation
                          builds: the term's, the oracle's and each
                          all-equal probe's (a table of more than
-                         relations.CELL_LIMIT = 10^8 cells is refused
+                         functions.CELL_LIMIT = 10^8 cells is refused
                          whatever the bound)
     """
 

@@ -7,9 +7,10 @@ numpy's row-major (3,)*k layout, so its index is the base-3 input code
 and `reshape((3,) * k)` gives one axis per coordinate.  Tables are built
 on demand, and every caller bounds their 3^k cells: `table_bound`
 covers each table term evaluation builds (`terms.eval_term`),
-`RECURSION_BOUND` covers `is_m_sequential`, and the invariance budget
-covers the kernel's, since every relation has at least its three
-constant tuples, so |R|^k >= 3^k.
+`RECURSION_BOUND` covers `is_m_sequential`, and the invariance gate
+refuses a kernel table of more than CELL_LIMIT cells whatever the
+budget.  CELL_LIMIT caps every input-sized array, a table or a
+relation listing, whatever the flags say.
 
 A validated function also carries its trace's coherence facts, built
 once at construction: the bitplanes of its inputs (`planes`, see
@@ -38,6 +39,9 @@ from .errors import (
 from .lattice import (
     BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, mask_coherent, masks_coherent
 )
+
+CELL_LIMIT = 10**8  # cells of an input-sized array: a table or a relation listing
+INDEX_LIMIT = 2**63  # selections or codes an int64 index can number
 
 
 @dataclass(frozen=True)

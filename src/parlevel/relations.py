@@ -5,12 +5,11 @@ a tuple belongs to it when some A-coordinate is undefined or all
 B-coordinates agree.  Finite intersections of these are the composite
 relations used for the sharper separation arguments.
 
-Membership is one rule per relation class, `mask`, which tests every
-row of an (r, n) trit array at once.  A relation's one listing applies
-it to all 3^n tuples, giving the members (`member_matrix`) and a
-membership vector indexed by tuple code, which the invariance search
-reads; witness replay (`InvarianceWitness.verify`, through `member`)
-calls the rule itself.
+Membership is one rule per relation class, `mask`, which tests tuples
+given as their n trit columns.  The listing (`member_matrix`) applies it
+to all 3^n tuples decoded as columns, the invariance search to a
+function's output columns, and witness replay
+(`InvarianceWitness.verify`, through `member`) to one tuple's columns.
 
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
@@ -41,7 +40,7 @@ from .errors import (
     SoundnessError,
     state_figure,
 )
-from .functions import MonotoneFn, is_ascii_number, table_of
+from .functions import CELL_LIMIT, INDEX_LIMIT, MonotoneFn, is_ascii_number, table_of
 from .lattice import BOT, Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
@@ -52,7 +51,7 @@ class _Membership:
     def member(self, d: TriTuple) -> bool:
         if d.arity != self.n:
             raise ArityMismatchError(f"tuple arity {d.arity}, relation arity {self.n}")
-        return bool(self.mask(np.array([d.entries], dtype=np.int8))[0])
+        return bool(self.mask(np.array(d.entries, dtype=np.int8)[:, None])[0])
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,13 @@ class PreseqRel(_Membership):
         if not self.b <= set(range(1, self.n + 1)):
             raise FormatError(f"B must fit in 1..{self.n}: {set(self.b)}")
 
-    def mask(self, y: np.ndarray) -> np.ndarray:
-        """Membership of each row of an (r, n) trit array: some A-column
-        is undefined, or every B-column equals the first."""
-        a = [i - 1 for i in sorted(self.a)]
-        b = [i - 1 for i in sorted(self.b)]
-        return (y[:, a] == BOT).any(axis=1) | (y[:, b] == y[:, b[:1]]).all(axis=1)
+    def mask(self, cols) -> np.ndarray:
+        """Membership of the tuples spelled by n trit columns, an (n, r)
+        array or a list of n 1-D arrays: every B-column equals the
+        first, or some A-column is undefined."""
+        b = sorted(self.b or {1})  # with B empty, every tuple agrees on B
+        agree = np.all([cols[i - 1] == cols[b[0] - 1] for i in b], axis=0)
+        return agree | np.any([cols[i - 1] == BOT for i in self.a], axis=0)
 
     def describe(self) -> str:
         return (
@@ -107,10 +107,10 @@ class SeqRel(_Membership):
     def n(self) -> int:
         return self.conjuncts[0].n
 
-    def mask(self, y: np.ndarray) -> np.ndarray:
-        """Membership of each row of an (r, n) trit array in every
+    def mask(self, cols) -> np.ndarray:
+        """Membership of the tuples spelled by n trit columns in every
         conjunct."""
-        return functools.reduce(np.logical_and, (c.mask(y) for c in self.conjuncts))
+        return functools.reduce(np.logical_and, (c.mask(cols) for c in self.conjuncts))
 
     def describe(self) -> str:
         parts = " ".join(
@@ -191,38 +191,33 @@ def chain_relation(j: int) -> SeqRel:
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
-INDEX_LIMIT = 2**63  # selections or tuple codes an int64 index can number
-CELL_LIMIT = 10**8  # cells of an input-sized array: a relation listing or a table
 
 
 @functools.lru_cache(maxsize=1024)
-def _listing(rel: Relation) -> tuple[np.ndarray, np.ndarray]:
-    """`rel.mask` over all 3^n tuples, decoded CHUNK codes at a time:
-    the members as an (m, n) int8 array sorted by base-3 code, and the
-    membership vector, one bool per code.  Both are cached and shared,
-    so they are read-only.  More than CELL_LIMIT codes are refused
-    whatever the budget."""
+def member_matrix(rel: Relation) -> np.ndarray:
+    """Member tuples as an (m, n) int8 array, sorted by base-3 code.
+    `rel.mask` tests all 3^n tuples, decoded as columns CHUNK codes at a
+    time; then each block's kept codes are decoded again into the one
+    preallocated array.  The array is cached and shared, so it is
+    read-only.  More than CELL_LIMIT codes are refused whatever the
+    budget."""
     total = 3**rel.n
     if total > CELL_LIMIT:
         raise BudgetExceededError(total, CELL_LIMIT, what="relation enumeration")
-    member = np.empty(total, dtype=bool)
-    blocks = []
-    for start in range(0, total, CHUNK):
+    shape = (3,) * rel.n
+    starts = range(0, total, CHUNK)
+    keep = np.empty(total, dtype=bool)
+    for start in starts:
         codes = np.arange(start, min(start + CHUNK, total))
-        y = np.array(np.unravel_index(codes, (3,) * rel.n), dtype=np.int8).T
-        keep = rel.mask(y)
-        member[start : start + len(codes)] = keep
-        blocks.append(y[keep])
-    mat = np.concatenate(blocks)
+        keep[start : start + CHUNK] = rel.mask(np.unravel_index(codes, shape))
+    mat = np.empty((np.count_nonzero(keep), rel.n), dtype=np.int8)
+    row = 0
+    for start in starts:
+        codes = start + np.flatnonzero(keep[start : start + CHUNK])
+        mat[row : row + len(codes)].T[:] = np.unravel_index(codes, shape)
+        row += len(codes)
     mat.flags.writeable = False
-    member.flags.writeable = False
-    return mat, member
-
-
-def member_matrix(rel: Relation) -> np.ndarray:
-    """Member tuples as an (m, n) int8 array, sorted by base-3 code.
-    The array is `_listing`'s, cached and shared, so it is read-only."""
-    return _listing(rel)[0]
+    return mat
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,8 @@ def invariance_counterexample(
     whose state count, or whose relation's 3^n tuples, are above the
     budget; a basic relation's state count is known before enumerating
     it, so that check comes first.  A count above INDEX_LIMIT is refused
-    whatever the budget, as no int64 index can number it.
+    whatever the budget, as no int64 index can number it, and so is a
+    function table of more than CELL_LIMIT cells.
 
     The gate runs on every call; the search behind it does not read the
     budget and is memoized per (fn, rel)."""
@@ -272,6 +268,8 @@ def invariance_counterexample(
     required = len(member_matrix(rel)) ** k
     if required > limit:
         raise BudgetExceededError(required, limit, what="invariance check")
+    if 3**k > CELL_LIMIT:
+        raise BudgetExceededError(3**k, CELL_LIMIT, what="function table")
     return _first_counterexample(fn, rel)
 
 
@@ -284,22 +282,21 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
     to the codes of the n columns.  The last s slots, the most with
     m^s <= CHUNK, are summed once into `suffix`, every pick of them in
     order; a block of prefixes (the first k - s picks) is decoded when
-    it is reached and broadcast against it, so that a block holds at
-    most CHUNK selections in row-major, that is lexicographic, order.
-    Each column code maps through the place-weighted table to its share
-    of the output code, and one lookup in the membership vector tests
-    every output row."""
-    mem, member = _listing(rel)
+    it is reached, its picks gathered from the member matrix, and
+    broadcast against it, so that a block holds at most CHUNK selections
+    in row-major, that is lexicographic, order.  The table looked up at
+    each column's codes gives that output column, and `rel.mask` tests
+    the output rows."""
+    mem = member_matrix(rel)
     m, n, k = len(mem), rel.n, fn.arity
-    tbl = np.asarray(table_of(fn), dtype=np.intp)
-    weighted = [tbl * 3 ** (n - 1 - j) for j in range(n)]
-    placed = [mem.T.astype(np.intp) * 3 ** (k - 1 - t) for t in range(k)]
+    table = table_of(fn)
+    place = [np.intp(3 ** (k - 1 - t)) for t in range(k)]
     s = 0
     while s < k and m ** (s + 1) <= CHUNK:
         s += 1
     suffix = np.zeros((n, 1), dtype=np.intp)
     for t in range(k - s, k):
-        suffix = (suffix[:, :, None] + placed[t][:, None, :]).reshape(n, -1)
+        suffix = (suffix[:, :, None] + mem.T[:, None, :] * place[t]).reshape(n, -1)
     width = suffix.shape[1]
     prefixes = m ** (k - s)
     step = CHUNK // width
@@ -308,21 +305,20 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
         prefix = np.zeros((n, len(rest)), dtype=np.intp)
         for t in range(k - s - 1, -1, -1):
             rest, pick = np.divmod(rest, m)
-            prefix += placed[t][:, pick]
-        out = sum(w[p[:, None] + q] for w, p, q in zip(weighted, prefix, suffix))
-        good = member[out]
+            prefix += mem[pick].T * place[t]
+        out = [table[(p[:, None] + q).ravel()] for p, q in zip(prefix, suffix)]
+        good = rel.mask(out)
         if not good.all():
-            index = start * width + int(np.argmin(good))
+            bad = int(np.argmin(good))
+            index = start * width + bad
             picks = []
             for _ in range(k):
                 index, pick = divmod(index, m)
                 picks.append(pick)
-            rows = mem[picks[::-1]]
-            output = tbl[3 ** np.arange(k - 1, -1, -1) @ rows]
             return InvarianceWitness(
                 rel,
-                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in rows),
-                TriTuple(tuple(map(Tri, output.tolist()))),
+                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in mem[picks[::-1]]),
+                TriTuple(tuple(Tri(int(col[bad])) for col in out)),
             )
     return None
 

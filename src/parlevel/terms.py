@@ -21,6 +21,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import BoundExceededError, FormatError, InapplicableError, TermArityError
 from .functions import (
+    CELL_LIMIT,
+    INDEX_LIMIT,
     MonotoneFn,
     check_nesting,
     entry,
@@ -31,7 +33,6 @@ from .functions import (
     validate_trace,
 )
 from .lattice import BOT, FF, TT, Tri
-from .relations import CELL_LIMIT, INDEX_LIMIT
 
 ORACLE = "g"
 

@@ -384,6 +384,32 @@ def test_listing_above_cell_cap_is_a_budget_error(capsys):
     assert err == f"error: relation enumeration needs {3**30} states, budget allows {10**8}\n"
 
 
+def test_function_table_above_cell_cap_is_a_budget_error(capsys, tmp_path):
+    """A 25-ary function under S^1 with A = B = {} (3 members) needs 3^25
+    states, under the raised budget, but its table would take 789 GiB:
+    the fixed cell cap refuses it whatever the budget, and `compare`
+    skips such a relation with that note."""
+    trace = tmp_path / "big25.trace"
+    trace.write_text(f"arity 25\nT{'_' * 24} -> T\n")
+    relations = tmp_path / "one.rel"
+    relations.write_text("preseq n=1 A= B=\n")
+    refusal = f"function table needs {3**25} states, budget allows {10**8}"
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "invariance", str(trace), "--relation", "preseq n=1 A= B=",
+        "--budget", "1000000000000",
+    )
+    assert code == 4
+    assert err == f"error: {refusal}\n"
+    code, out, err = run(
+        capsys, "compare", "zoo:bp", str(trace), "--relations", str(relations),
+        "--budget", "1000000000000", "--json",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "Traceback" not in err
+    assert f"preseq n=1 A= B=: skipped ({refusal})" in json.loads(out)["notes"]
+
+
 def test_compare_reports_huge_state_count(capsys, tmp_path):
     """por_i(2) breaks S^3_{3,3}, and the arity-5000 right side's
     invariance under it would take 21^5000 states, a 6,612-digit figure."""

@@ -1,5 +1,5 @@
 """The package's module graph: every import sits at module top, and the
-level and zoo layers import only the layers below them."""
+level, term and zoo layers import only the layers below them."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 FORBIDDEN = {
     "plevels": {"relations", "definability", "terms", "zoo", "suites", "cli"},
     "zoo": {"config", "plevels", "relations", "definability", "terms", "suites"},
+    "terms": {"plevels", "relations", "definability", "zoo", "suites", "cli"},
 }
 
 
