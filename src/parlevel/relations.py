@@ -41,7 +41,7 @@ from .errors import (
     state_figure,
 )
 from .functions import CELL_LIMIT, INDEX_LIMIT, MonotoneFn, is_ascii_number, table_of
-from .lattice import BOT, Tri, TriTuple
+from .lattice import Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
 
@@ -74,10 +74,15 @@ class PreseqRel(_Membership):
     def mask(self, cols) -> np.ndarray:
         """Membership of the tuples spelled by n trit columns, an (n, r)
         array or a list of n 1-D arrays: every B-column equals the
-        first, or some A-column is undefined."""
-        b = sorted(self.b or {1})  # with B empty, every tuple agrees on B
-        agree = np.all([cols[i - 1] == cols[b[0] - 1] for i in b], axis=0)
-        return agree | np.any([cols[i - 1] == BOT for i in self.a], axis=0)
+        first, or some A-column is undefined (code 0, a plain int, which
+        numpy compares without casting the column as it does for BOT)."""
+        b = sorted(self.b)
+        keep = np.ones(len(cols[0]), dtype=bool)
+        for i in b[1:]:
+            keep &= cols[i - 1] == cols[b[0] - 1]
+        for i in self.a:
+            keep |= cols[i - 1] == 0
+        return keep
 
     def describe(self) -> str:
         return (
@@ -195,24 +200,22 @@ CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
 
 @functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
-    """Member tuples as an (m, n) int8 array, sorted by base-3 code.
-    `rel.mask` tests all 3^n tuples, decoded as columns CHUNK codes at a
-    time; then each block's kept codes are decoded again into the one
-    preallocated array.  The array is cached and shared, so it is
-    read-only.  More than CELL_LIMIT codes are refused whatever the
-    budget."""
+    """Member tuples as an (m, n) int8 array, sorted by base-3 code:
+    `rel.mask` tests all 3^n tuples, CHUNK codes at a time decoded as
+    columns, and each block's kept codes are decoded again into one
+    preallocated array.  Cached and shared, so read-only.  More than
+    CELL_LIMIT codes are refused whatever the budget."""
     total = 3**rel.n
     if total > CELL_LIMIT:
         raise BudgetExceededError(total, CELL_LIMIT, what="relation enumeration")
     shape = (3,) * rel.n
-    starts = range(0, total, CHUNK)
     keep = np.empty(total, dtype=bool)
-    for start in starts:
+    for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total))
         keep[start : start + CHUNK] = rel.mask(np.unravel_index(codes, shape))
     mat = np.empty((np.count_nonzero(keep), rel.n), dtype=np.int8)
     row = 0
-    for start in starts:
+    for start in range(0, total, CHUNK):
         codes = start + np.flatnonzero(keep[start : start + CHUNK])
         mat[row : row + len(codes)].T[:] = np.unravel_index(codes, shape)
         row += len(codes)
