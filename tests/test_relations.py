@@ -217,8 +217,8 @@ def test_kernel_blocks_split_mid_selection(fn, relation, chunk):
 def test_kernel_memory_is_a_few_blocks():
     """ntdet(1) under S^12 with A = B = {}: 3^12 selections of one pick
     from a 6 MB member matrix.  The kernel holds a few CHUNK-sized
-    blocks of codes and output columns, not intp copies of the members
-    or of the table (103 MiB at peak when it did)."""
+    blocks of codes and output columns (58 MiB at peak), not intp
+    copies of the members or of the table, which take 103 MiB here."""
     fn, r = zoo.make("ntdet(1)"), parse_relation("preseq n=12 A= B=")
     member_matrix(r)
     relations._first_counterexample.cache_clear()
