@@ -281,7 +281,7 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
     """The first of the m^k row selections, in lexicographic order of
     their picks, whose columnwise image leaves the relation.
 
-    Slot t of a selection adds its row's trits at place value 3^(k-1-t)
+    Slot t of a selection adds its row's trits, times 3^(k-1-t) in intp,
     to the codes of the n columns.  The last s slots, the most with
     m^s <= CHUNK, are summed once into `suffix`, every pick of them in
     order; a block of prefixes (the first k - s picks) is decoded when
@@ -293,13 +293,13 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
     mem = member_matrix(rel)
     m, n, k = len(mem), rel.n, fn.arity
     table = table_of(fn)
-    place = [np.intp(3 ** (k - 1 - t)) for t in range(k)]
     s = 0
     while s < k and m ** (s + 1) <= CHUNK:
         s += 1
     suffix = np.zeros((n, 1), dtype=np.intp)
     for t in range(k - s, k):
-        suffix = (suffix[:, :, None] + mem.T[:, None, :] * place[t]).reshape(n, -1)
+        weight = np.multiply(mem.T[:, None, :], 3 ** (k - 1 - t), dtype=np.intp)
+        suffix = (suffix[:, :, None] + weight).reshape(n, -1)
     width = suffix.shape[1]
     prefixes = m ** (k - s)
     step = CHUNK // width
@@ -308,7 +308,7 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
         prefix = np.zeros((n, len(rest)), dtype=np.intp)
         for t in range(k - s - 1, -1, -1):
             rest, pick = np.divmod(rest, m)
-            prefix += mem[pick].T * place[t]
+            prefix += np.multiply(mem[pick].T, 3 ** (k - 1 - t), dtype=np.intp)
         out = [table[(p[:, None] + q).ravel()] for p, q in zip(prefix, suffix)]
         good = rel.mask(out)
         if not good.all():
