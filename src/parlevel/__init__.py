@@ -62,7 +62,6 @@ from .plevels import (
     cc,
     classify,
     enumerate_monotone,
-    inexpressible_by_plevel,
     p_level,
     p_level_of_sum,
 )
@@ -79,6 +78,7 @@ from .relations import (
     chain_relation,
     find_separating_relation,
     format_relation,
+    inexpressible_by_plevel,
     invariance_counterexample,
     is_invariant,
     parse_relation,

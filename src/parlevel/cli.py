@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, SearchConfig
 from .definability import compare
 from .errors import AnalysisError, BudgetExceededError
 from .functions import MonotoneFn, format_trace, parse_trace
@@ -30,7 +30,7 @@ from .relations import (
     parse_relation,
     parse_relation_file,
 )
-from .suites import run_suite
+from .suites import SUITES, run_suite
 from .terms import eval_term, parse_term
 from .zoo import list_names, make
 
@@ -61,16 +61,14 @@ def _load_function(source: str) -> MonotoneFn:
     return fn
 
 
-def _config_from(args: argparse.Namespace):
-    cfg = DEFAULT_CONFIG
-    updates = {}
-    if getattr(args, "budget", None) is not None:
-        updates["budget"] = args.budget
-    if getattr(args, "max_rel_arity", None) is not None:
-        updates["max_rel_arity"] = args.max_rel_arity
-    if getattr(args, "table_bound", None) is not None:
-        updates["table_bound"] = args.table_bound
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _config_from(args: argparse.Namespace) -> SearchConfig:
+    """DEFAULT_CONFIG with each SearchConfig field the command's flags set."""
+    updates = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(SearchConfig)
+        if getattr(args, field.name, None) is not None
+    }
+    return dataclasses.replace(DEFAULT_CONFIG, **updates)
 
 
 def _print_json(obj) -> None:
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=["all", "plevels", "lemmas", "hierarchies", "terms"],
+        choices=["all", *SUITES],
     )
     add_flags(p, "--json", "--budget", "--max-rel-arity", "--table-bound")
     p.set_defaults(fn=cmd_verify)

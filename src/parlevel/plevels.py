@@ -102,24 +102,6 @@ def p_level_of_sum(pf: PLevel, pg: PLevel) -> PLevel:
     return PLevel(min(pf.i, pg.i), min(pf.j, pg.j))
 
 
-def inexpressible_by_plevel(left: MonotoneFn, right: MonotoneFn) -> frozenset[str]:
-    """Level-comparison fast path.  Returns any of
-    'left_not_below_right' / 'right_not_below_left'.
-
-    A higher level means invariance under more relations, i.e. a weaker
-    function: when the left level exceeds the right one in some
-    coordinate, the left function respects a relation the right one
-    breaks, so the right one cannot be defined from it."""
-    pl = p_level(left)
-    pr = p_level(right)
-    claims = set()
-    if pl.i > pr.i or pl.j > pr.j:
-        claims.add("right_not_below_left")
-    if pr.i > pl.i or pr.j > pl.j:
-        claims.add("left_not_below_right")
-    return frozenset(claims)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------

@@ -166,6 +166,31 @@ def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
     return size_a <= level.j
 
 
+def _level_separator(pl: PLevel, pr: PLevel) -> PreseqRel | None:
+    """The canonical relation that levels pl and pr say separates left
+    from right: one the right function respects and the left one breaks,
+    so the left is not definable from the right.  A higher level means
+    invariance under more relations, i.e. a weaker function; the
+    equal-index family is taken first."""
+    if pl.i < pr.i:
+        return canonical_equal(pl.i + 1)
+    if pl.j < pr.j:
+        return canonical_strict(pl.j + 1)
+    return None
+
+
+def inexpressible_by_plevel(left: MonotoneFn, right: MonotoneFn) -> frozenset[str]:
+    """Level-comparison fast path.  Returns any of
+    'left_not_below_right' / 'right_not_below_left'."""
+    pl, pr = p_level(left), p_level(right)
+    claims = set()
+    if _level_separator(pl, pr) is not None:
+        claims.add("left_not_below_right")
+    if _level_separator(pr, pl) is not None:
+        claims.add("right_not_below_left")
+    return frozenset(claims)
+
+
 def canonicalize(rel: PreseqRel) -> PreseqRel:
     """Collapse a basic relation to its invariance-equivalent canonical
     form: only |A| and whether A = B matter.  The degenerate A = B = {}
@@ -393,22 +418,14 @@ def find_separating_relation(
 ) -> SeparationOutcome:
     """Look for a relation certifying left-not-definable-from-right.
 
-    Tried in order: canonical relations predicted to separate by the
-    level comparison; composite chain relations up to the configured
+    Tried in order: the canonical relation the level comparison
+    predicts to separate; composite chain relations up to the configured
     arity; then any user-supplied relations.  A None outcome only means
     "no separator found within bounds" and never implies definability.
     """
     skipped: list[str] = []
-    pl = p_level(left)
-    pr = p_level(right)
-
-    candidates: list[PreseqRel] = []
-    if pl.i < pr.i:
-        candidates.append(canonical_equal(pl.i + 1))
-    if pl.j < pr.j:
-        candidates.append(canonical_strict(pl.j + 1))
-
-    for rel in candidates:
+    rel = _level_separator(p_level(left), p_level(right))
+    if rel is not None:
         witness = constructed_witness(left, rel)
         if witness is None:
             raise SoundnessError(
@@ -418,9 +435,9 @@ def find_separating_relation(
         states = basic_members(rel) ** right.arity
         try:
             invariant = is_invariant(right, rel, config)
-        except BudgetExceededError:
+        except BudgetExceededError as exc:
             skipped.append(
-                f"{rel}: invariant side needs {state_figure(states)} states "
+                f"{rel}: invariant side needs {state_figure(exc.required)} states "
                 f"(budget {config.budget}), justified by level instead"
             )
             method = "level"

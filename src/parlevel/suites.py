@@ -25,7 +25,6 @@ from .plevels import (
     cc,
     classify,
     enumerate_monotone,
-    inexpressible_by_plevel,
     p_level,
     p_level_of_sum,
 )
@@ -36,6 +35,7 @@ from .relations import (
     canonicalize,
     chain_relation,
     find_separating_relation,
+    inexpressible_by_plevel,
     invariance_counterexample,
     is_invariant,
     predict_invariant,
@@ -402,12 +402,8 @@ SUITES = {
 
 def run_suite(name: str, config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for key in ("plevels", "lemmas", "hierarchies", "terms"):
-            results.extend(SUITES[key](config))
-        return results
+        return [r for suite in SUITES.values() for r in suite(config)]
     if name not in SUITES:
-        raise AnalysisError(
-            f"unknown suite {name!r} (want all, plevels, lemmas, hierarchies or terms)"
-        )
+        *first, last = ["all", *SUITES]
+        raise AnalysisError(f"unknown suite {name!r} (want {', '.join(first)} or {last})")
     return SUITES[name](config)

@@ -297,10 +297,12 @@ def parse_term(text: str) -> Term:
             if len(words) != 2 or not is_ascii_number(words[1]):
                 raise FormatError(f"bad arity line {line!r}", lineno)
             arity = int(words[1])
+            if arity < 1:
+                raise FormatError("arity must be >= 1", lineno)
             continue
         spaced = line.replace("(", " ( ").replace(")", " ) ")
         tokens.extend((tok, lineno) for tok in spaced.split())
-    if arity is None or arity < 1:
+    if arity is None:
         raise FormatError("term file needs an 'arity <k>' line with k >= 1")
     if not tokens:
         raise FormatError("term file has no expression")

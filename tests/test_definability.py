@@ -24,11 +24,13 @@ from parlevel import (
     cofinal_witness,
     compare,
     fn_sum,
+    inline_oracle,
     mapping_certificate,
     neg,
     parse_relation,
     zoo,
 )
+from parlevel import definability
 from parlevel.relations import InvarianceWitness
 from parlevel import TriTuple
 from test_plevels import plainly_coherent, random_traces
@@ -187,6 +189,35 @@ def test_compare_term_route_closes_the_gap():
     verdict = compare(zoo.por(3), zoo.por(2), allow_terms=True)
     assert verdict.relation == "left_below_strict"
     assert any(c.kind == "term_chain" for c in verdict.evidence)
+
+
+def test_term_route_refuses_a_source_above_the_table_bound(monkeypatch):
+    """A chain term has the source's arity, so a source above the table
+    bound is refused before any step is inlined; one within it inlines
+    each step onto the chain below."""
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(outer.arity)
+        return inline_oracle(outer, inner)
+
+    monkeypatch.setattr(definability, "inline_oracle", counted)
+    verdict = compare(zoo.por(8), zoo.por(2), allow_terms=True)
+    assert calls == []
+    assert verdict.relation == "unknown"
+    assert [c.kind for c in verdict.evidence] == ["separation"]
+    assert verdict.notes == (
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs 37822859361 states "
+        "(budget 100000000), justified by level instead",
+        "right not below left established; other direction open",
+    )
+    verdict = compare(zoo.por(5), zoo.por(2), allow_terms=True)
+    assert calls == [4, 5]
+    assert verdict.relation == "left_below_strict"
+    calls.clear()
+    bound4 = dataclasses.replace(DEFAULT_CONFIG, table_bound=4)
+    assert compare(zoo.por(5), zoo.por(2), bound4, allow_terms=True).relation == "unknown"
+    assert calls == []
 
 
 def test_compare_gustave_below_stable_top():

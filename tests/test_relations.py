@@ -397,13 +397,19 @@ def test_relation_enumeration_over_budget_raises_at_once():
 def test_level_route_needs_the_relation_listed_within_budget():
     """With budget 25, S^3_{3,3} has 21 members, few enough for a unary
     right side, but listing them walks 27 tuples: the invariant side
-    rests on the level instead of failing the search."""
+    rests on the level instead of failing the search, and the note
+    gives the 27 the budget refused."""
     unary = zoo.make("ntdet(1)")
     small = dataclasses.replace(DEFAULT_CONFIG, budget=25)
-    found = find_separating_relation(zoo.bp(), unary, small).found
+    outcome = find_separating_relation(zoo.bp(), unary, small)
+    found = outcome.found
     assert found.relation == canonical_equal(3)
     assert (found.invariant_method, found.invariant_states) == ("level", 21)
     assert found.witness.verify(zoo.bp())
+    assert outcome.skipped == (
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs 27 states "
+        "(budget 25), justified by level instead",
+    )
 
 
 def test_canonicalize_golden():

@@ -194,6 +194,7 @@ def test_parse_term_errors():
         ("# c\narity \u0663\n(g x1 x2 x3)\n", 2),  # non-ASCII decimal digit
         ("arity 2\n(g x\u00b9 x2)\n", 2),  # superscript variable index
         ("arityfoo 2\n(g x1 x2)\n", None),  # not the arity keyword
+        ("arity 0\n(g x1)\n", 1),  # arity below 1
     ],
 )
 def test_parse_term_malformed_numbers(text, line):
