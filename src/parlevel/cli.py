@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 resolved verdict / pass, 1 verification failures,
-2 unknown comparison verdict, 3 input error, 4 budget exceeded.
+2 unknown comparison verdict, 3 input error, 4 budget exceeded,
+141 (128 + SIGPIPE) standard output closed by its reader.
 
 An input over a fixed size bound (plevels.COHERENCE_BOUND,
 definability.MAPPING_BOUND, functions.RECURSION_BOUND,
 plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
 any other input error, since no flag moves those bounds.  A term file
-or function name nested past functions.NESTING_BOUND is a FormatError,
-so it exits 3 too.  Budget
-overruns exit 4 because `--budget` moves the budget.
+or function name nested past functions.NESTING_BOUND, or a family
+parameter above zoo.PARAM_BOUND, is a FormatError, so it exits 3 too.
+Budget overruns exit 4 because `--budget` moves the budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -285,13 +287,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone: stop quietly, with stdout on the null device
+        # so that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -323,9 +323,7 @@ def _mseq_table(cells: bytes, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace file format:
-#   optional '#' comment lines ('# name: X' sets the label)
-#   'arity <k>'
+# Trace file format, after the header `read_header` reads:
 #   one '<tuple> -> <T|F>' line per entry
 # ---------------------------------------------------------------------------
 
@@ -354,31 +352,54 @@ def check_nesting(depth: int, line: int | None = None) -> None:
         raise FormatError(f"nesting deeper than bound {NESTING_BOUND}", line)
 
 
-def parse_trace(text: str) -> MonotoneFn:
-    arity: int | None = None
-    name: str | None = None
-    rows: list[TraceEntry] = []
+def content_lines(text: str, names: list[str] | None = None) -> Iterator[tuple[int, str]]:
+    """The numbered, stripped lines of a file, skipping blank lines and
+    '#' comments; the X of a '# name: X' comment goes to `names`, unless
+    it is empty."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.lower().startswith("name:"):
-                name = body[5:].strip()
-            continue
-        words = line.split()
-        if words[0] == "arity":
-            if arity is not None:
+            if names is not None and body.lower().startswith("name:") and body[5:].strip():
+                names.append(body[5:].strip())
+        elif line:
+            yield lineno, line
+
+
+def read_header(
+    text: str, names: list[str] | None = None
+) -> tuple[int, Iterator[tuple[int, str]]]:
+    """The header of trace and term files: exactly one 'arity <k>' line,
+    k in ASCII digits and at least 1, before any other content line.
+    Returns k and the content lines after it, which refuse a second
+    arity line as they are read."""
+    lines = content_lines(text, names)
+    first = next(lines, None)
+    if first is None:
+        raise FormatError("missing arity line")
+    lineno, line = first
+    words = line.split()
+    if words[0] != "arity":
+        raise FormatError("content before arity line", lineno)
+    if len(words) != 2 or not is_ascii_number(words[1]):
+        raise FormatError(f"bad arity line {line!r}", lineno)
+    if int(words[1]) < 1:
+        raise FormatError("arity must be >= 1", lineno)
+
+    def body() -> Iterator[tuple[int, str]]:
+        for lineno, line in lines:
+            if line.split()[0] == "arity":
                 raise FormatError("duplicate arity line", lineno)
-            if len(words) != 2 or not is_ascii_number(words[1]):
-                raise FormatError(f"bad arity line {line!r}", lineno)
-            arity = int(words[1])
-            if arity < 1:
-                raise FormatError("arity must be >= 1", lineno)
-            continue
-        if arity is None:
-            raise FormatError("trace rows before arity line", lineno)
+            yield lineno, line
+
+    return int(words[1]), body()
+
+
+def parse_trace(text: str) -> MonotoneFn:
+    names: list[str] = []
+    arity, lines = read_header(text, names)
+    rows: list[TraceEntry] = []
+    for lineno, line in lines:
         parts = line.split("->")
         if len(parts) != 2:
             raise FormatError(f"bad trace row {line!r}", lineno)
@@ -394,6 +415,4 @@ def parse_trace(text: str) -> MonotoneFn:
             rows.append(entry(tup, out))
         except FormatError as exc:
             raise FormatError(str(exc), lineno) from None
-    if arity is None:
-        raise FormatError("missing arity line")
-    return validate_trace(arity, rows, name)
+    return validate_trace(arity, rows, names[-1] if names else None)

@@ -40,7 +40,9 @@ from .errors import (
     SoundnessError,
     state_figure,
 )
-from .functions import CELL_LIMIT, INDEX_LIMIT, MonotoneFn, is_ascii_number, table_of
+from .functions import (
+    CELL_LIMIT, INDEX_LIMIT, MonotoneFn, content_lines, is_ascii_number, table_of
+)
 from .lattice import Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
@@ -68,7 +70,7 @@ class PreseqRel(_Membership):
             raise ArityMismatchError("relation arity must be >= 1")
         if not self.a <= self.b:
             raise FormatError(f"A must be a subset of B: {set(self.a)} vs {set(self.b)}")
-        if not self.b <= set(range(1, self.n + 1)):
+        if not all(1 <= i <= self.n for i in self.b):
             raise FormatError(f"B must fit in 1..{self.n}: {set(self.b)}")
 
     def mask(self, cols) -> np.ndarray:
@@ -520,13 +522,7 @@ def parse_relation(line: str, lineno: int | None = None) -> Relation:
 
 
 def parse_relation_file(text: str) -> list[Relation]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse_relation(line, lineno))
-    return out
+    return [parse_relation(line, lineno) for lineno, line in content_lines(text)]
 
 
 def format_relation(rel: Relation) -> str:

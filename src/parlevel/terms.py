@@ -28,6 +28,7 @@ from .functions import (
     entry,
     is_ascii_number,
     is_monovalued,
+    read_header,
     table_of,
     trace_from_table,
     validate_trace,
@@ -78,37 +79,6 @@ def alleq(n: int) -> MonotoneFn:
     return validate_trace(n, [entry("T" * n, "T"), entry("F" * n, "F")], ALLEQ)
 
 
-def validate_term(term: Term, oracle_arity: int) -> None:
-    def walk(node: Node) -> None:
-        if isinstance(node, Var):
-            if not 1 <= node.index <= term.arity:
-                raise TermArityError(
-                    f"variable x{node.index} outside 1..{term.arity}"
-                )
-        elif isinstance(node, App):
-            if node.fn == ORACLE:
-                if len(node.args) != oracle_arity:
-                    raise TermArityError(
-                        f"oracle applied to {len(node.args)} arguments, "
-                        f"oracle arity is {oracle_arity}"
-                    )
-            elif node.fn == ALLEQ:
-                if not node.args:
-                    raise TermArityError(f"{node.fn} needs at least one argument")
-            else:
-                fn = CONNECTIVES.get(node.fn)
-                if fn is None:
-                    raise TermArityError(f"unknown symbol {node.fn!r}")
-                if len(node.args) != fn.arity:
-                    raise TermArityError(
-                        f"{node.fn} takes {fn.arity} arguments, got {len(node.args)}"
-                    )
-            for a in node.args:
-                walk(a)
-
-    walk(term.root)
-
-
 def eval_term(
     term: Term, oracle: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> MonotoneFn:
@@ -118,7 +88,10 @@ def eval_term(
     their table up at the codes the argument columns spell.  Rebuilding
     the trace from the root column re-checks monotonicity rather than
     assuming it.  Each table built, the term's, the oracle's and each
-    alleq's, is bounded by `table_bound` and by CELL_LIMIT cells."""
+    alleq's, is bounded by `table_bound` and by CELL_LIMIT cells.  The
+    one pre-order walk that builds the columns also checks the term:
+    each variable's index, and each application's symbol and argument
+    count, an alleq's bound before its function is built."""
 
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
@@ -130,21 +103,36 @@ def eval_term(
     k = term.arity
     check_table(k, f"term arity {k}")
     check_table(oracle.arity, f"oracle arity {oracle.arity}")
-    validate_term(term, oracle.arity)
     coords = np.indices((3,) * k, dtype=np.int8).reshape(k, -1)
+
+    def function(node: App) -> MonotoneFn:
+        n = len(node.args)
+        if node.fn == ORACLE:
+            if n != oracle.arity:
+                raise TermArityError(
+                    f"oracle applied to {n} arguments, oracle arity is {oracle.arity}"
+                )
+            return oracle
+        if node.fn == ALLEQ:
+            if not n:
+                raise TermArityError(f"{ALLEQ} needs at least one argument")
+            check_table(n, f"{ALLEQ} over {n} arguments")
+            return alleq(n)
+        fn = CONNECTIVES.get(node.fn)
+        if fn is None:
+            raise TermArityError(f"unknown symbol {node.fn!r}")
+        if n != fn.arity:
+            raise TermArityError(f"{node.fn} takes {fn.arity} arguments, got {n}")
+        return fn
 
     def column(node: Node) -> np.ndarray:
         if isinstance(node, Var):
+            if not 1 <= node.index <= k:
+                raise TermArityError(f"variable x{node.index} outside 1..{k}")
             return coords[node.index - 1]
         if isinstance(node, Const):
             return np.full(3**k, node.value, dtype=np.int8)
-        if node.fn == ORACLE:
-            fn = oracle
-        elif node.fn == ALLEQ:
-            check_table(len(node.args), f"{ALLEQ} over {len(node.args)} arguments")
-            fn = alleq(len(node.args))
-        else:
-            fn = CONNECTIVES[node.fn]
+        fn = function(node)
         args = [column(a) for a in node.args]
         return table_of(fn)[np.ravel_multi_index(args, (3,) * fn.arity)]
 
@@ -244,13 +232,12 @@ def mono_to_det_term(fn: MonotoneFn) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Term file format:
-#   'arity <k>' line, then one prefix expression, e.g.
-#   (alleq (g x1 x2) (g x2 x3) (g x1 x3))
+# Term file format, after the header `functions.read_header` reads:
+#   one prefix expression, e.g. (alleq (g x1 x2) (g x2 x3) (g x1 x3))
 # ---------------------------------------------------------------------------
 
 _ATOM_CONSTS = {"tt": Const(TT), "ff": Const(FF), "bot": Const(BOT)}
-
+_CONST_NAMES = {c.value: name for name, c in _ATOM_CONSTS.items()}
 
 _SYMBOLS = {ORACLE, ALLEQ, *CONNECTIVES}
 
@@ -286,24 +273,11 @@ def parse_term(text: str) -> Term:
     """Parse a term file; an error inside the expression names the line
     of the token it was raised at.  Nesting is bounded
     (`functions.NESTING_BOUND`), since parsing and evaluation recurse."""
-    arity: int | None = None
+    arity, lines = read_header(text)
     tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        words = line.split()
-        if words[0] == "arity" and arity is None:
-            if len(words) != 2 or not is_ascii_number(words[1]):
-                raise FormatError(f"bad arity line {line!r}", lineno)
-            arity = int(words[1])
-            if arity < 1:
-                raise FormatError("arity must be >= 1", lineno)
-            continue
+    for lineno, line in lines:
         spaced = line.replace("(", " ( ").replace(")", " ) ")
         tokens.extend((tok, lineno) for tok in spaced.split())
-    if arity is None:
-        raise FormatError("term file needs an 'arity <k>' line with k >= 1")
     if not tokens:
         raise FormatError("term file has no expression")
     depth = 0
@@ -324,7 +298,7 @@ def format_node(node: Node) -> str:
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Const):
-        return {BOT: "bot", TT: "tt", FF: "ff"}[node.value]
+        return _CONST_NAMES[node.value]
     inner = " ".join(format_node(a) for a in node.args)
     return f"({node.fn} {inner})"
 

@@ -17,6 +17,15 @@ from .functions import MonotoneFn, TraceEntry, check_nesting, fn_sum, neg, valid
 from .lattice import Tri, TriTuple
 
 
+PARAM_BOUND = 100  # largest parameter a family takes
+
+
+def _check_param(family: str, i: int) -> None:
+    """Refuse a family parameter above PARAM_BOUND before any row is built."""
+    if i > PARAM_BOUND:
+        raise FormatError(f"{family} parameter {i} above bound {PARAM_BOUND}")
+
+
 def _mk(arity: int, rows: Iterable[tuple[tuple[int, ...], int]], name: str) -> MonotoneFn:
     entries = [
         TraceEntry(TriTuple(tuple(Tri(v) for v in row)), Tri(out)) for row, out in rows
@@ -48,6 +57,7 @@ def _cyclic_rows(i: int) -> list[tuple[int, ...]]:
 def gustave(i: int = 1) -> MonotoneFn:
     if i < 1:
         raise FormatError("gustave_i needs i >= 1")
+    _check_param("gustave_i", i)
     rows = [(row, 1) for row in _cyclic_rows(i)]
     return _mk(2 * i + 1, rows, f"gustave_i({i})")
 
@@ -55,6 +65,7 @@ def gustave(i: int = 1) -> MonotoneFn:
 def bivalued_gustave(i: int, j: int) -> MonotoneFn:
     if i < 1 or not 1 <= j <= i:
         raise FormatError(f"bg(i,j) needs 1 <= j <= i, got ({i},{j})")
+    _check_param("bg", i)  # j <= i
     rows = [
         (row, 2 if r <= j else 1)
         for r, row in enumerate(_cyclic_rows(i), start=1)
@@ -65,6 +76,7 @@ def bivalued_gustave(i: int, j: int) -> MonotoneFn:
 def por(i: int) -> MonotoneFn:
     if i < 2:
         raise FormatError("por_i needs i >= 2")
+    _check_param("por_i", i)
     rows = []
     for p in range(i):
         row = [1] * i
@@ -85,6 +97,7 @@ def ttdet() -> MonotoneFn:
 def ntdet(n: int) -> MonotoneFn:
     if n < 1:
         raise FormatError("ntdet needs n >= 1")
+    _check_param("ntdet", n)
     rows = []
     for p in range(n):
         row = [0] * n

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import parlevel
 from parlevel.cli import main
 
 
@@ -169,6 +174,48 @@ def test_coherence_bound_overrun_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "coherence bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zoo", "emit", "por_i(99999999999999999999)"],
+        ["analyze", "zoo:gustave_i(99999999999999999999)"],
+    ],
+    ids=["emit", "analyze"],
+)
+def test_family_parameter_over_bound_is_input_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:") and "above bound 100" in err
+
+
+def test_empty_name_comment_leaves_the_file_stem(capsys, tmp_path):
+    path = tmp_path / "unnamed.trace"
+    path.write_text("# name:\narity 1\nT -> T\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert out.startswith("unnamed: arity 1, trace size 1\n")
+
+
+@pytest.mark.parametrize("argv", [["zoo", "list"], ["verify", "plevels", "--json"]],
+                         ids=["zoo-list", "verify-json"])
+def test_closed_stdout_exits_141_quietly(argv):
+    """The pipe's read end is closed before the command starts, so its
+    first write to stdout fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(parlevel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parlevel.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_compare_resolved_exit_zero(capsys):

@@ -32,6 +32,7 @@ from parlevel import (
     is_monovalued,
     is_stable,
     neg,
+    parse_term,
     parse_trace,
     table_of,
     trace_from_table,
@@ -319,6 +320,38 @@ def test_parse_trace_malformed_arity_is_line_numbered(text, line):
     with pytest.raises(FormatError) as exc:
         parse_trace(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("parse, body", [(parse_trace, "T_ -> T"), (parse_term, "(g x1 x2)")],
+                         ids=["trace", "term"])
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("# no header\n\n", "missing arity line", None),
+        ("arity 2\n{body}\narity 2\n", "duplicate arity line", 3),
+        ("# c\narity two\n{body}\n", "bad arity line 'arity two'", 2),
+        ("arity 0\n{body}\n", "arity must be >= 1", 1),
+        ("# c\n{body}\narity 2\n", "content before arity line", 2),
+    ],
+    ids=["missing", "duplicate", "malformed", "zero", "content-first"],
+)
+def test_trace_and_term_files_share_one_header_rule(parse, body, text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse(text.format(body=body))
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("# name:\narity 1\nT -> T\n", None),
+        ("# name: f\narity 1\n#  NAME:   \nT -> T\n", "f"),
+    ],
+    ids=["empty", "empty-after-name"],
+)
+def test_empty_name_comment_names_nothing(text, name):
+    assert parse_trace(text).name == name
 
 
 def test_parse_trace_accepts_comments_and_blanks():

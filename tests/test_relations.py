@@ -152,6 +152,16 @@ def test_relation_validation():
         rel(0, set(), set())
 
 
+def test_index_check_builds_nothing_of_size_n():
+    """B's indices are compared with 1 and n, so a 10^12-ary line
+    parses at once."""
+    n = 10**12
+    r = parse_relation(f"preseq n={n} A=1 B=1,{n}")
+    assert r == rel(n, {1}, {1, n})
+    with pytest.raises(FormatError, match="B must fit"):
+        parse_relation(f"preseq n={n} A= B=0")
+
+
 def test_seqrel_membership_is_conjunction():
     r = chain_relation(3)
     for code in range(27):

@@ -193,7 +193,7 @@ def test_parse_term_errors():
         ("arity \u00b3\n(g x1 x2 x3)\n", 1),  # superscript digit
         ("# c\narity \u0663\n(g x1 x2 x3)\n", 2),  # non-ASCII decimal digit
         ("arity 2\n(g x\u00b9 x2)\n", 2),  # superscript variable index
-        ("arityfoo 2\n(g x1 x2)\n", None),  # not the arity keyword
+        ("arityfoo 2\n(g x1 x2)\n", 1),  # not the arity keyword
         ("arity 0\n(g x1)\n", 1),  # arity below 1
     ],
 )
@@ -248,6 +248,19 @@ def test_alleq_table_bound():
     with pytest.raises(BoundExceededError, match="alleq over 7 arguments above table bound 6"):
         eval_term(term, zoo.ttdet())
     assert eval_term(term, zoo.ttdet(), WIDE) == eval_term(Term(1, Var(1)), zoo.ttdet())
+
+
+def test_eval_checks_in_its_one_pre_order_walk():
+    """An alleq is bound-checked before the arguments under it are
+    walked, and an error before it in pre-order comes first."""
+    under = Term(1, App(ALLEQ, (Var(2),) * 7))
+    with pytest.raises(BoundExceededError, match="alleq over 7"):
+        eval_term(under, zoo.ttdet())
+    with pytest.raises(TermArityError, match="variable x2 outside 1..1"):
+        eval_term(under, zoo.ttdet(), WIDE)
+    before = Term(1, App("and", (Var(2), under.root)))
+    with pytest.raises(TermArityError, match="variable x2 outside 1..1"):
+        eval_term(before, zoo.ttdet())
 
 
 # ---------------------------------------------------------------------------

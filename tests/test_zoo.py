@@ -126,6 +126,21 @@ def test_make_nesting_bound():
         zoo.make("neg(" * 1200 + "bp" + ")" * 1200)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["gustave_i(101)", "bg(101,1)", "por_i(99999999999999999999)",
+     "ntdet(99999999999999999999)", "gustave_i(99999999999999999999)"],
+)
+def test_family_parameter_bound(name):
+    with pytest.raises(FormatError, match=f"parameter [0-9]+ above bound {zoo.PARAM_BOUND}"):
+        zoo.make(name)
+
+
+def test_family_parameter_bound_is_accepted():
+    assert zoo.ntdet(zoo.PARAM_BOUND).arity == zoo.PARAM_BOUND
+    assert zoo.bivalued_gustave(zoo.PARAM_BOUND, zoo.PARAM_BOUND).arity == 2 * zoo.PARAM_BOUND + 1
+
+
 def test_catalog_arity_filter():
     assert all(fn.arity <= 3 for fn in zoo.catalog(max_arity=3))
     names = [fn.name for fn in zoo.catalog()]
