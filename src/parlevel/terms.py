@@ -90,8 +90,8 @@ def eval_term(
     assuming it.  Each table built, the term's, the oracle's and each
     alleq's, is bounded by `table_bound` and by CELL_LIMIT cells.  The
     one pre-order walk that builds the columns also checks the term:
-    each variable's index, and each application's symbol and argument
-    count, an alleq's bound before its function is built."""
+    each variable's index, each application's symbol and argument
+    count, and an alleq's bound before its function is built."""
 
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
