@@ -8,8 +8,9 @@ An input over a fixed size bound (plevels.COHERENCE_BOUND,
 definability.MAPPING_BOUND, functions.RECURSION_BOUND,
 plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
 any other input error, since no flag moves those bounds.  A term file
-or function name nested past functions.NESTING_BOUND, or a family
-parameter above zoo.PARAM_BOUND, is a FormatError, so it exits 3 too.
+or function name nested past functions.NESTING_BOUND, a family
+parameter above zoo.PARAM_BOUND, or a number of more than
+errors.DIGIT_LIMIT digits, is a FormatError, so it exits 3 too.
 Budget overruns exit 4 because `--budget` moves the budget.
 """
 
@@ -28,6 +29,7 @@ from .errors import AnalysisError, BudgetExceededError
 from .functions import MonotoneFn, format_trace, parse_trace
 from .plevels import classify
 from .relations import (
+    format_relation,
     invariance_counterexample,
     parse_relation,
     parse_relation_file,
@@ -139,7 +141,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
         _print_json(
             [
                 {
-                    "relation": rel.describe(),
+                    "relation": format_relation(rel),
                     "invariant": witness is None,
                     "witness": None
                     if witness is None
@@ -154,9 +156,9 @@ def cmd_invariance(args: argparse.Namespace) -> int:
         return 0
     for rel, witness in rows:
         if witness is None:
-            print(f"{fn.label} is invariant under {rel.describe()}")
+            print(f"{fn.label} is invariant under {format_relation(rel)}")
         else:
-            print(f"{fn.label} is NOT invariant under {rel.describe()}")
+            print(f"{fn.label} is NOT invariant under {format_relation(rel)}")
             for t in witness.inputs:
                 print(f"    {t.text}")
             print(f" -> {witness.output.text}")
@@ -222,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--json": dict(action="store_true", help="machine-readable output"),
         "--budget": dict(type=int, help="brute-force state budget"),
-        "--max-rel-arity": dict(type=int, help="largest relation arity searched"),
         "--table-bound": dict(type=int, help="max arity for full-table evaluation"),
     }
 
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also try term-template certificates")
     p.add_argument("--relations", help="file of extra relations to try")
     p.add_argument("--emit-cert", help="write evidence certificates to PATH")
-    add_flags(p, "--json", "--budget", "--max-rel-arity", "--table-bound")
+    add_flags(p, "--json", "--budget", "--table-bound")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("invariance", help="check invariance under relations")
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", *SUITES],
     )
-    add_flags(p, "--json", "--budget", "--max-rel-arity", "--table-bound")
+    add_flags(p, "--json", "--budget", "--table-bound")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -16,8 +16,6 @@ class SearchConfig:
     budget            -- max states for one brute-force enumeration
                          (relation invariance: |R|^k; mapping search:
                          |trace(g)|^|trace(f)|)
-    max_rel_arity     -- largest relation arity tried when hunting for
-                         separating relations
     table_bound       -- max arity of a full 3^k table term evaluation
                          builds: the term's, the oracle's and each
                          all-equal probe's (a table of more than
@@ -26,7 +24,6 @@ class SearchConfig:
     """
 
     budget: int = 10**8
-    max_rel_arity: int = 5
     table_bound: int = 6
 
 

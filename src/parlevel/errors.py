@@ -38,7 +38,8 @@ class BoundExceededError(AnalysisError):
     """An input exceeds a configured enumeration or recursion bound."""
 
 
-FIGURE_LIMIT = 10**4300  # the least count of more than 4,300 digits
+DIGIT_LIMIT = 4300  # the most digits Python turns into text or an int by default
+FIGURE_LIMIT = 10**DIGIT_LIMIT  # the least count of more than 4,300 digits
 
 
 def state_figure(count: int) -> int | str:

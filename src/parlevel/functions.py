@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    DIGIT_LIMIT,
     ArityMismatchError,
     BoundExceededError,
     ComparableRowsError,
@@ -336,12 +337,6 @@ def format_trace(fn: MonotoneFn) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_ascii_number(text: str) -> bool:
-    """Only ASCII digits: str.isdigit() also takes superscript digits,
-    which int() then rejects."""
-    return text.isascii() and text.isdigit()
-
-
 NESTING_BOUND = 200  # deepest parenthesis nesting a term file or function name takes
 
 
@@ -366,6 +361,19 @@ def content_lines(text: str, names: list[str] | None = None) -> Iterator[tuple[i
             yield lineno, line
 
 
+def read_number(text: str, line: int | None = None) -> int | None:
+    """The int that `text` spells in ASCII digits, or None for any other
+    text, so that each format words its own error (str.isdigit() also
+    takes superscript and other decimal digits, and int() a sign, an
+    underscore or surrounding space).  More than DIGIT_LIMIT digits,
+    which int() refuses, is a FormatError."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    if len(text) > DIGIT_LIMIT:
+        raise FormatError(f"number of {len(text)} digits above bound {DIGIT_LIMIT}", line)
+    return int(text)
+
+
 def read_header(
     text: str, names: list[str] | None = None
 ) -> tuple[int, Iterator[tuple[int, str]]]:
@@ -381,9 +389,10 @@ def read_header(
     words = line.split()
     if words[0] != "arity":
         raise FormatError("content before arity line", lineno)
-    if len(words) != 2 or not is_ascii_number(words[1]):
+    arity = read_number(words[1], lineno) if len(words) == 2 else None
+    if arity is None:
         raise FormatError(f"bad arity line {line!r}", lineno)
-    if int(words[1]) < 1:
+    if arity < 1:
         raise FormatError("arity must be >= 1", lineno)
 
     def body() -> Iterator[tuple[int, str]]:
@@ -392,7 +401,7 @@ def read_header(
                 raise FormatError("duplicate arity line", lineno)
             yield lineno, line
 
-    return int(words[1]), body()
+    return arity, body()
 
 
 def parse_trace(text: str) -> MonotoneFn:

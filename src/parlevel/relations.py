@@ -41,14 +41,18 @@ from .errors import (
     state_figure,
 )
 from .functions import (
-    CELL_LIMIT, INDEX_LIMIT, MonotoneFn, content_lines, is_ascii_number, table_of
+    CELL_LIMIT, INDEX_LIMIT, MonotoneFn, content_lines, read_number, table_of
 )
 from .lattice import Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
 
 class _Membership:
-    """`member` for one tuple, through the class's vectorized `mask`."""
+    """`member` for one tuple, through the class's vectorized `mask`, and
+    the relation line `format_relation` writes as its text."""
+
+    def __str__(self) -> str:
+        return format_relation(self)
 
     def member(self, d: TriTuple) -> bool:
         if d.arity != self.n:
@@ -86,16 +90,6 @@ class PreseqRel(_Membership):
             keep |= cols[i - 1] == 0
         return keep
 
-    def describe(self) -> str:
-        return (
-            f"preseq n={self.n}"
-            f" A={','.join(map(str, sorted(self.a)))}"
-            f" B={','.join(map(str, sorted(self.b)))}"
-        )
-
-    def __str__(self) -> str:
-        return self.describe()
-
 
 @dataclass(frozen=True)
 class SeqRel(_Membership):
@@ -118,17 +112,6 @@ class SeqRel(_Membership):
         """Membership of the tuples spelled by n trit columns in every
         conjunct."""
         return functools.reduce(np.logical_and, (c.mask(cols) for c in self.conjuncts))
-
-    def describe(self) -> str:
-        parts = " ".join(
-            "{A=%s B=%s}"
-            % (",".join(map(str, sorted(c.a))), ",".join(map(str, sorted(c.b))))
-            for c in self.conjuncts
-        )
-        return f"seqrel n={self.n} {parts}"
-
-    def __str__(self) -> str:
-        return self.describe()
 
 
 Relation = PreseqRel | SeqRel
@@ -412,6 +395,9 @@ def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | N
     return witness if witness.verify(fn) else None
 
 
+CHAIN_ARITY = 5  # widest chain relation in the separator pool
+
+
 def find_separating_relation(
     left: MonotoneFn,
     right: MonotoneFn,
@@ -421,9 +407,10 @@ def find_separating_relation(
     """Look for a relation certifying left-not-definable-from-right.
 
     Tried in order: the canonical relation the level comparison
-    predicts to separate; composite chain relations up to the configured
-    arity; then any user-supplied relations.  A None outcome only means
-    "no separator found within bounds" and never implies definability.
+    predicts to separate; the chain relations of arity 2 to CHAIN_ARITY;
+    then any user-supplied relations, which is where a wider relation
+    goes.  A None outcome only means "no separator found within bounds"
+    and never implies definability.
     """
     skipped: list[str] = []
     rel = _level_separator(p_level(left), p_level(right))
@@ -454,9 +441,7 @@ def find_separating_relation(
             Separation(rel, witness, method, states), tuple(skipped)
         )
 
-    chain_pool: list[Relation] = [
-        chain_relation(j) for j in range(2, config.max_rel_arity + 1)
-    ]
+    chain_pool: list[Relation] = [chain_relation(j) for j in range(2, CHAIN_ARITY + 1)]
     for rel in chain_pool + list(extra_relations):
         try:
             right_side = invariance_counterexample(right, rel, config)
@@ -475,23 +460,22 @@ def find_separating_relation(
 
 
 # ---------------------------------------------------------------------------
-# Relation file format:
-#   preseq n=4 A=1,2 B=1,2,3          (A= allowed for the empty set)
-#   seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}
+# Relation file format, one conjunct rule for both kinds of line:
+#   preseq n=4 A=1,2 B=1,2,3          (one conjunct; A= for the empty set)
+#   seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}   (one or more, in braces)
 # ---------------------------------------------------------------------------
 
-_IDX_RE = re.compile(r"^(preseq|seqrel)\s+n=([0-9]+)\s*(.*)$")
-_PAIR_RE = re.compile(r"\{\s*A=([0-9,]*)\s+B=([0-9,]*)\s*\}")
+_LINE_RE = re.compile(r"^(preseq|seqrel)\s+n=([0-9]+)\s*(.*)$")
+_CONJUNCT_RE = re.compile(r"\{\s*A=(\S*)\s+B=(\S*)\s*\}")
 
 
 def _parse_indices(text: str, lineno: int | None) -> frozenset[int]:
-    text = text.strip()
     if not text:
         return frozenset()
-    parts = text.split(",")
-    if not all(is_ascii_number(p) for p in parts):
+    indices = [read_number(part, lineno) for part in text.split(",")]
+    if None in indices:
         raise FormatError(f"bad index list {text!r}", lineno)
-    return frozenset(int(p) for p in parts)
+    return frozenset(indices)
 
 
 def _conjunct(n: int, a_text: str, b_text: str, lineno: int | None) -> PreseqRel:
@@ -503,22 +487,20 @@ def _conjunct(n: int, a_text: str, b_text: str, lineno: int | None) -> PreseqRel
 
 
 def parse_relation(line: str, lineno: int | None = None) -> Relation:
-    m = _IDX_RE.match(line.strip())
+    m = _LINE_RE.match(line.strip())
     if not m:
         raise FormatError(f"bad relation line {line!r}", lineno)
     kind, n_text, rest = m.groups()
-    n = int(n_text)
+    n = read_number(n_text, lineno)
     if n < 1:
         raise FormatError("relation arity must be >= 1 in files", lineno)
     if kind == "preseq":
-        parts = rest.split()
-        if len(parts) != 2 or not parts[0].startswith("A=") or not parts[1].startswith("B="):
-            raise FormatError(f"bad relation line {line!r}", lineno)
-        return _conjunct(n, parts[0][2:], parts[1][2:], lineno)
-    pairs = _PAIR_RE.findall(rest)
-    if not pairs or _PAIR_RE.sub("", rest).strip():
+        rest = "{" + rest + "}"  # its one conjunct, written without braces
+    pairs = _CONJUNCT_RE.findall(rest)
+    if not pairs or _CONJUNCT_RE.sub("", rest).strip() or kind == "preseq" and len(pairs) > 1:
         raise FormatError(f"bad relation line {line!r}", lineno)
-    return SeqRel(tuple(_conjunct(n, a_text, b_text, lineno) for a_text, b_text in pairs))
+    conjuncts = tuple(_conjunct(n, a_text, b_text, lineno) for a_text, b_text in pairs)
+    return conjuncts[0] if kind == "preseq" else SeqRel(conjuncts)
 
 
 def parse_relation_file(text: str) -> list[Relation]:
@@ -526,4 +508,10 @@ def parse_relation_file(text: str) -> list[Relation]:
 
 
 def format_relation(rel: Relation) -> str:
-    return rel.describe()
+    """The line `parse_relation` reads back, and the relation's `str`."""
+    kind, conjuncts = ("seqrel", rel.conjuncts) if isinstance(rel, SeqRel) else ("preseq", (rel,))
+    text = " ".join(
+        "{A=%s B=%s}" % (",".join(map(str, sorted(c.a))), ",".join(map(str, sorted(c.b))))
+        for c in conjuncts
+    )
+    return f"{kind} n={rel.n} " + (text if kind == "seqrel" else text[1:-1])

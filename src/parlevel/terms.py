@@ -26,9 +26,9 @@ from .functions import (
     MonotoneFn,
     check_nesting,
     entry,
-    is_ascii_number,
     is_monovalued,
     read_header,
+    read_number,
     table_of,
     trace_from_table,
     validate_trace,
@@ -264,8 +264,9 @@ def _parse_node(tokens: list[tuple[str, int]], pos: int) -> tuple[Node, int]:
         raise FormatError("unexpected ')'", lineno)
     if tok in _ATOM_CONSTS:
         return _ATOM_CONSTS[tok], pos + 1
-    if tok.startswith("x") and is_ascii_number(tok[1:]):
-        return Var(int(tok[1:])), pos + 1
+    index = read_number(tok[1:], lineno) if tok.startswith("x") else None
+    if index is not None:
+        return Var(index), pos + 1
     raise FormatError(f"bad token {tok!r}", lineno)
 
 

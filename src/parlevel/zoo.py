@@ -13,7 +13,9 @@ import re
 from typing import Iterable
 
 from .errors import FormatError
-from .functions import MonotoneFn, TraceEntry, check_nesting, fn_sum, neg, validate_trace
+from .functions import (
+    MonotoneFn, TraceEntry, check_nesting, fn_sum, neg, read_number, validate_trace
+)
 from .lattice import Tri, TriTuple
 
 
@@ -176,11 +178,11 @@ def make(name: str) -> MonotoneFn:
         return _ATOMS[text]()
     m = _PARAM_RE.match(text)
     if m:
-        family, p1, p2 = m.group(1), int(m.group(2)), m.group(3)
+        family, p1, p2 = m.group(1), read_number(m.group(2)), m.group(3)
         if family == "bg":
             if p2 is None:
                 raise FormatError("bg needs two parameters: bg(i,j)")
-            return bivalued_gustave(p1, int(p2))
+            return bivalued_gustave(p1, read_number(p2))
         if p2 is not None:
             raise FormatError(f"{family} takes one parameter")
         if family == "gustave_i":

@@ -122,6 +122,32 @@ def test_malformed_number_is_input_error(capsys, tmp_path, command, text):
     assert "Traceback" not in err
 
 
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["analyze", "{file}"], f"arity {LONG}\n", 1),
+        (["term", "{file}", "--oracle", "zoo:ttdet"], f"arity 2\n(g x1\n x{LONG})\n", 3),
+        (["invariance", "zoo:bp", "--relations", "{file}"], f"#\npreseq n={LONG} A= B=\n", 2),
+        (["invariance", "zoo:bp", "--relation", f"seqrel n=3 {{A=1 B=1,{LONG}}}"], None, None),
+        (["zoo", "emit", f"bg(2,{LONG})"], None, None),
+    ],
+    ids=["arity-line", "term-variable", "relation-arity", "relation-index", "zoo-parameter"],
+)
+def test_long_number_is_a_format_error(capsys, tmp_path, argv, text, line):
+    """A number of more than the 4,300 digits int() reads is refused by
+    the one number rule, with the line where the format has lines."""
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run(capsys, *(a.format(file=path) if a == "{file}" else a for a in argv))
+    assert code == 3
+    where = f"line {line}: " if line else ""
+    assert err == f"error: {where}number of 5000 digits above bound 4300\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,8 +371,11 @@ def test_oversized_table_is_input_error(capsys, tmp_path, arity, oracle, flags, 
     [
         ["term", "{termfile}", "--oracle", "zoo:ttdet", "--json"],
         ["invariance", "zoo:bp", "--relation", "preseq n=3 A=1 B=1,2", "--max-rel-arity", "3"],
+        ["compare", "zoo:bp", "zoo:ttdet", "--max-rel-arity", "5"],
+        ["verify", "plevels", "--max-rel-arity", "5"],
     ],
-    ids=["term-json", "invariance-max-rel-arity"],
+    ids=["term-json", "invariance-max-rel-arity", "compare-max-rel-arity",
+         "verify-max-rel-arity"],
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
     termfile = tmp_path / "t.term"

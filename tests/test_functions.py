@@ -39,6 +39,7 @@ from parlevel import (
     validate_trace,
     zoo,
 )
+from parlevel.functions import read_number
 from test_lattice import all_tuples, oracle_compatible, oracle_leq
 from test_plevels import oracle_first_violation, random_traces
 
@@ -320,6 +321,16 @@ def test_parse_trace_malformed_arity_is_line_numbered(text, line):
     with pytest.raises(FormatError) as exc:
         parse_trace(text)
     assert exc.value.line == line
+
+
+def test_read_number_takes_ascii_digits_up_to_the_digit_limit():
+    assert read_number("0042") == 42
+    assert read_number("9" * 4300) == 10**4300 - 1
+    for text in ("", "\u00b3", "\u0663", "+1", "1_0", " 1", "-1", "1.0", "x"):
+        assert read_number(text) is None, text
+    with pytest.raises(FormatError) as exc:
+        read_number("0" * 4301, 7)
+    assert str(exc.value) == "line 7: number of 4301 digits above bound 4300"
 
 
 @pytest.mark.parametrize("parse, body", [(parse_trace, "T_ -> T"), (parse_term, "(g x1 x2)")],

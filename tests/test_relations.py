@@ -521,6 +521,9 @@ def test_parse_and_format_relations():
     s = parse_relation("seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}")
     assert s == chain_relation(3)
     assert parse_relation(format_relation(s)) == s
+    assert [str(r), str(s)] == [format_relation(r), format_relation(s)]
+    assert format_relation(empty_a) == "preseq n=2 A= B=1,2"
+    assert format_relation(s) == "seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}"
 
 
 def test_parse_relation_file_and_errors():
@@ -544,6 +547,23 @@ def test_bad_index_list_names_its_line_once(line):
     with pytest.raises(FormatError) as exc:
         parse_relation_file(f"# relations\n{line}\n")
     assert str(exc.value) == "line 2: bad index list '1,,2'"
+
+
+@pytest.mark.parametrize(
+    "line, listed",
+    [
+        # one conjunct rule: a seqrel value is read as a preseq one is
+        ("preseq n=3 A=x B=1", "x"),
+        ("seqrel n=3 {A=1 B=1} {A=x B=1}", "x"),
+        ("seqrel n=3 {A=\u0661 B=1,2}", "\u0661"),
+        ("preseq n=3 A={1} B=1", "{1}"),
+    ],
+)
+def test_one_conjunct_rule_for_both_kinds_of_line(line, listed):
+    """Both kinds of line read their A= and B= values by the same rule."""
+    with pytest.raises(FormatError) as exc:
+        parse_relation_file(f"# relations\n{line}\n")
+    assert str(exc.value) == f"line 2: bad index list {listed!r}"
 
 
 @pytest.mark.parametrize(
