@@ -9,8 +9,9 @@ definability.MAPPING_BOUND, functions.RECURSION_BOUND,
 plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
 any other input error, since no flag moves those bounds.  A term file
 or function name nested past functions.NESTING_BOUND, a family
-parameter above zoo.PARAM_BOUND, or a number of more than
-errors.DIGIT_LIMIT digits, is a FormatError, so it exits 3 too.
+parameter above zoo.PARAM_BOUND, a name of more than zoo.SUM_BOUND
+summands, or a number of more than errors.DIGIT_LIMIT digits, is a
+FormatError, so it exits 3 too.
 Budget overruns exit 4 because `--budget` moves the budget.
 """
 

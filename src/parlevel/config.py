@@ -15,7 +15,8 @@ class SearchConfig:
 
     budget            -- max states for one brute-force enumeration
                          (relation invariance: |R|^k; mapping search:
-                         |trace(g)|^|trace(f)|)
+                         |trace(g)|^|trace(f)|; term route: the cells
+                         its chain's evaluation fills)
     table_bound       -- max arity of a full 3^k table term evaluation
                          builds: the term's, the oracle's and each
                          all-equal probe's (a table of more than

@@ -16,6 +16,7 @@ first-class outcome and records which budgets were exhausted.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, SearchConfig
@@ -35,8 +36,10 @@ from .relations import (
     find_separating_relation,
     format_relation,
 )
-from .terms import bg_rotation_terms, eval_term, format_term, inline_oracle, por_step_term
-from .zoo import bivalued_gustave, gustave, por
+from .terms import (
+    bg_rotation_terms, eval_term, format_term, inline_oracle, oracle_calls, por_step_term
+)
+from .zoo import PARAM_BOUND, bivalued_gustave, gustave, por
 
 
 @dataclass(frozen=True)
@@ -249,22 +252,23 @@ def _try_term_route(
     definability proofs are explicit terms: each near-unanimity rung
     from the one below, and the bivalued cyclic rotations.  The chain's
     steps are inlined into one term of the source's arity, so a source
-    above the table bound is refused before any term is built."""
+    above the table bound is refused before any term is built.  The
+    evaluation fills 3^k cells for each oracle call of that term, the
+    product of the steps' calls; more cells than the budget is a
+    BudgetExceededError, raised before the chain is inlined."""
     if f.arity > config.table_bound:
         return None
 
     def as_por(fn: MonotoneFn) -> int | None:
-        if fn.arity >= 2 and fn == por(fn.arity):
+        if 2 <= fn.arity <= PARAM_BOUND and fn == por(fn.arity):
             return fn.arity
         return None
 
     def as_bg(fn: MonotoneFn) -> tuple[int, int] | None:
-        if fn.arity % 2 == 0 or fn.arity < 3:
-            return None
         i = (fn.arity - 1) // 2
-        for j in range(1, i + 1):
-            if fn == bivalued_gustave(i, j):
-                return (i, j)
+        j = fn.trace_size - fn.tt_mask.bit_count()  # bg(i,j) has j false entries
+        if fn.arity % 2 and 1 <= j <= i <= PARAM_BOUND and fn == bivalued_gustave(i, j):
+            return (i, j)
         return None
 
     # a por trace has an all-defined input and a bg trace none, so at
@@ -280,6 +284,9 @@ def _try_term_route(
         steps = [forward if jf > jg else backward] * abs(jf - jg)
     if not steps:
         return None  # identity, or a por source below its target
+    cells = math.prod(oracle_calls(step.root) for step in steps) * 3**f.arity
+    if cells > config.budget:
+        raise BudgetExceededError(cells, config.budget, what="term route")
     term = functools.reduce(lambda inner, step: inline_oracle(step, inner), steps)
     produced = eval_term(term, g, config)
     if produced != f:
@@ -303,7 +310,10 @@ def _positive(
     if mapping is not None:
         return mapping_certificate(mapping)
     if allow_terms:
-        return _try_term_route(f, g, config)
+        try:
+            return _try_term_route(f, g, config)
+        except BudgetExceededError as exc:
+            notes.append(f"term route {f.label} -> {g.label} skipped ({exc})")
     return None
 
 
@@ -318,11 +328,13 @@ def compare(
     into the strongest sound verdict.  Absence of a mapping is never
     converted into a negative claim; budget exhaustion degrades to
     "unknown" with a note."""
+    # the separator searches read both levels, so they run first: an
+    # input past the coherence bound is refused before any mapping search
+    neg_lr_out = find_separating_relation(f, g, config, extra_relations)
+    neg_rl_out = find_separating_relation(g, f, config, extra_relations)
     notes: list[str] = []
     pos_lr = _positive(f, g, config, allow_terms, notes)
     pos_rl = _positive(g, f, config, allow_terms, notes)
-    neg_lr_out = find_separating_relation(f, g, config, extra_relations)
-    neg_rl_out = find_separating_relation(g, f, config, extra_relations)
     notes.extend(neg_lr_out.skipped)
     notes.extend(neg_rl_out.skipped)
 

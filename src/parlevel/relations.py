@@ -38,6 +38,8 @@ from .errors import (
     BudgetExceededError,
     FormatError,
     SoundnessError,
+    exceeds,
+    power_count,
     state_figure,
 )
 from .functions import (
@@ -130,15 +132,17 @@ def canonical_strict(m: int) -> PreseqRel:
     return PreseqRel(m + 1, frozenset(range(1, m + 1)), frozenset(range(1, m + 2)))
 
 
-def basic_members(rel: PreseqRel) -> int:
-    """Member count of a basic relation in closed form, without
-    enumerating its 3^n tuples: the non-members have every A-coordinate
-    defined and B-coordinates not all equal.  For the canonical families
-    this is 3^m - 2^m + 2 (equal, m >= 1) and 3^(m+1) - 3*2^m + 2
-    (strict, m >= 1)."""
+def basic_members(rel: PreseqRel, k: int = 1) -> int | str:
+    """Member count of a basic relation in closed form, raised to the
+    k-th power (the states of an invariance check of a k-ary function),
+    as `errors.power_count` gives it, without enumerating its 3^n
+    tuples: the non-members have every A-coordinate defined and
+    B-coordinates not all equal, so the members are 3^(n - |B|) times
+    those on B alone.  For the canonical families this is 3^m - 2^m + 2
+    (equal, m >= 1) and 3^(m+1) - 3*2^m + 2 (strict, m >= 1)."""
     a, b = len(rel.a), len(rel.b)
     all_equal = 1 if b == 0 else (2 if a else 3)
-    return 3**rel.n - 3 ** (rel.n - b) * (2**a * 3 ** (b - a) - all_equal)
+    return power_count((3, (rel.n - b) * k), (3**b - 2**a * 3 ** (b - a) + all_equal, k))
 
 
 def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
@@ -266,23 +270,24 @@ def invariance_counterexample(
     budget; a basic relation's state count is known before enumerating
     it, so that check comes first.  A count above INDEX_LIMIT is refused
     whatever the budget, as no int64 index can number it, and so is a
-    function table of more than CELL_LIMIT cells.
+    function table of more than CELL_LIMIT cells.  Each count comes from
+    `errors.power_count`, so one of more than 4,300 digits (a large n or
+    k) is refused by its logarithm, without computing the power.
 
     The gate runs on every call; the search behind it does not read the
     budget and is memoized per (fn, rel)."""
+
+    def refuse(required: int | str, limit: int, what: str) -> None:
+        if exceeds(required, limit):
+            raise BudgetExceededError(required, limit, what=what)
+
     k = fn.arity
     limit = min(config.budget, INDEX_LIMIT)
     if isinstance(rel, PreseqRel):
-        required = basic_members(rel) ** k
-        if required > limit:
-            raise BudgetExceededError(required, limit, what="invariance check")
-    if 3**rel.n > limit:
-        raise BudgetExceededError(3**rel.n, limit, what="relation enumeration")
-    required = len(member_matrix(rel)) ** k
-    if required > limit:
-        raise BudgetExceededError(required, limit, what="invariance check")
-    if 3**k > CELL_LIMIT:
-        raise BudgetExceededError(3**k, CELL_LIMIT, what="function table")
+        refuse(basic_members(rel, k), limit, "invariance check")
+    refuse(power_count((3, rel.n)), limit, "relation enumeration")
+    refuse(power_count((len(member_matrix(rel)), k)), limit, "invariance check")
+    refuse(power_count((3, k)), CELL_LIMIT, "function table")
     return _first_counterexample(fn, rel)
 
 
@@ -360,7 +365,7 @@ class Separation:
     relation: Relation
     witness: InvarianceWitness
     invariant_method: str  # "brute" | "level"
-    invariant_states: int
+    invariant_states: int | str  # a count, or its figure `~10^E` (errors.power_count)
 
 
 @dataclass(frozen=True)
@@ -421,7 +426,7 @@ def find_separating_relation(
                 f"{left.label} predicted non-invariant under {rel} "
                 "but the constructed witness does not replay"
             )
-        states = basic_members(rel) ** right.arity
+        states = basic_members(rel, right.arity)
         try:
             invariant = is_invariant(right, rel, config)
         except BudgetExceededError as exc:

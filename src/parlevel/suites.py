@@ -6,8 +6,9 @@ table, the degree aliases, the sum and negation laws, the zoo self-test
 (trace shapes, coefficients and stability the level table does not
 already pin down) and the cofinal trace mappings.  The heavy suite
 (lemmas) enumerates every monotone function of arity at most two and
-every basic relation of arity at most four, and takes about 13 s; the
-others take a second or two.  The acceptance tests drive these suites.
+every basic relation of arity at most four, and takes about 2 s on a
+2-core machine; the others take under half a second.  The acceptance
+tests drive these suites.
 """
 
 from __future__ import annotations

@@ -19,7 +19,14 @@ from typing import Union
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SearchConfig
-from .errors import BoundExceededError, FormatError, InapplicableError, TermArityError
+from .errors import (
+    BoundExceededError,
+    FormatError,
+    InapplicableError,
+    TermArityError,
+    exceeds,
+    power_count,
+)
 from .functions import (
     CELL_LIMIT,
     INDEX_LIMIT,
@@ -96,8 +103,9 @@ def eval_term(
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
             raise BoundExceededError(f"{what} above table bound {config.table_bound}")
-        if 3**width > CELL_LIMIT:
-            cap = "2^63" if 3**width > INDEX_LIMIT else f"cell cap {CELL_LIMIT}"
+        cells = power_count((3, width))
+        if exceeds(cells, CELL_LIMIT):
+            cap = "2^63" if exceeds(cells, INDEX_LIMIT) else f"cell cap {CELL_LIMIT}"
             raise BoundExceededError(f"{what} needs 3^{width} table cells, above {cap}")
 
     k = term.arity
@@ -137,6 +145,13 @@ def eval_term(
         return table_of(fn)[np.ravel_multi_index(args, (3,) * fn.arity)]
 
     return trace_from_table(k, column(term.root))
+
+
+def oracle_calls(node: Node) -> int:
+    """How many oracle applications the term under `node` makes."""
+    if isinstance(node, App):
+        return (node.fn == ORACLE) + sum(oracle_calls(a) for a in node.args)
+    return 0
 
 
 def inline_oracle(outer: Term, inner: Term) -> Term:

@@ -20,6 +20,7 @@ from .lattice import Tri, TriTuple
 
 
 PARAM_BOUND = 100  # largest parameter a family takes
+SUM_BOUND = 4  # most summands a name takes, written with `+` or `sum(`
 
 
 def _check_param(family: str, i: int) -> None:
@@ -159,6 +160,9 @@ def make(name: str) -> MonotoneFn:
     text = name.strip().lower().replace(" ", "")
     if not text:
         raise FormatError("empty function name")
+    summands = text.count("+") + text.count("sum(") + 1
+    if summands > SUM_BOUND:
+        raise FormatError(f"{summands} summands above sum bound {SUM_BOUND}")
     plus = _split_top(text, "+", name)
     if len(plus) > 1:
         if any(not p for p in plus):

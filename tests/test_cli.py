@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import parlevel
 from parlevel.cli import main
@@ -146,6 +151,50 @@ def test_long_number_is_a_format_error(capsys, tmp_path, argv, text, line):
     assert code == 3
     where = f"line {line}: " if line else ""
     assert err == f"error: {where}number of 5000 digits above bound 4300\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (["invariance", "zoo:bp", "--relation", "preseq n=10000000 A= B=1"], None, 4,
+         "invariance check needs ~10^14313637 states"),
+        (["invariance", "{file}", "--relation", "preseq n=1 A= B="], "arity 100000000\n", 4,
+         "invariance check needs ~10^47712125 states"),
+        (["invariance", "zoo:bp", "--relation", "seqrel n=10000000 {A=1 B=1}"], None, 4,
+         "relation enumeration needs ~10^4771212 states"),
+        (["compare", "{file}", "zoo:bp"], "arity 100000000\n", 0, None),
+        (["term", "{file}", "--oracle", "zoo:ttdet", "--table-bound", "100000000"],
+         "arity 100000000\n(g x1)\n", 3,
+         "term arity 100000000 needs 3^100000000 table cells, above 2^63"),
+    ],
+    ids=["relation-arity", "function-arity", "composite-arity", "compare", "term-arity"],
+)
+def test_large_exponent_is_refused_before_its_power(capsys, tmp_path, argv, text, code, message):
+    """A relation arity n, a function arity k or a table width is
+    compared with what the limit admits before any 3^n, |R|^k or 3^k is
+    computed, so each command ends at once (a count of more than 4,300
+    digits is written ~10^E)."""
+    path = tmp_path / "wide.trace"
+    if text is not None:
+        path.write_text(text)
+    start = time.perf_counter()
+    got, out, err = run(capsys, *(a.format(file=path) if a == "{file}" else a for a in argv))
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if message is None:
+        assert err == "" and "strictly below" in out
+    else:
+        assert err.startswith(f"error: {message}")
+
+
+def test_term_route_skips_families_past_the_parameter_bound(capsys, tmp_path):
+    """An arity-101 trace is no por_i or bg instance, since the families
+    stop at parameter 100: the term route does not build one to compare."""
+    path = tmp_path / "wide.trace"
+    path.write_text(f"arity 101\nT{'_' * 100} -> T\n")
+    code, out, err = run(capsys, "compare", "zoo:bp", str(path), "--allow-terms")
+    assert (code, err) == (0, "")
+    assert "right is strictly below left" in out
 
 
 @pytest.mark.parametrize(
@@ -514,3 +563,71 @@ def test_compare_reports_huge_state_count(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", "zoo:por_i(2)", str(trace))
     assert code == 2
     assert f"note: {note}" in out
+
+
+# 4,000 to 6,000 digits: on both sides of the 4,300 that int() reads
+LONG_NUMBER = st.builds(lambda d, n: str(d) * n, st.integers(1, 9), st.integers(4000, 6000))
+LARGE_NUMBER = st.one_of(
+    LONG_NUMBER, st.integers(17, 4300).map(lambda n: "9" * n), st.integers(17, 10**12).map(str)
+)
+
+
+@st.composite
+def sized_commands(draw):
+    """A command line and the text of its one input file (or None),
+    built around a large number, a long sum or a raised table bound;
+    `{file}` in the command stands for the file's path."""
+    n = draw(LARGE_NUMBER)
+    summands = draw(st.integers(2, 400))
+    atom = draw(st.sampled_from(["bp", "ttdet", "por_i(3)", "sum(bp,det)", "neg(gustave)"]))
+    return draw(st.sampled_from([
+        (["analyze", "{file}"], f"arity {n}\n"),
+        (["invariance", "{file}", "--relation", "preseq n=1 A= B="], f"arity {n}\n"),
+        (["compare", "{file}", "zoo:bp"], f"arity {n}\n"),
+        (["compare", "zoo:bp", "{file}", "--allow-terms", "--table-bound", n], f"arity {n}\n"),
+        (["term", "{file}", "--oracle", "zoo:ttdet", "--table-bound", n], f"arity {n}\n(g x1)\n"),
+        (["term", "{file}", "--oracle", "zoo:ttdet"], f"arity 2\n(g x1 x{n})\n"),
+        (["invariance", "zoo:bp", "--relation", f"preseq n={n} A= B=1"], None),
+        (["invariance", "{file}", "--relation", f"seqrel n={n} {{A=1 B=1,2}}"], f"arity {n}\n"),
+        (["invariance", "zoo:bp", "--relations", "{file}"], f"preseq n=3 A= B=1,{n}\n"),
+        (["zoo", "emit", f"por_i({n})"], None),
+        (["analyze", f"zoo:bg({n},1)"], None),
+        (["compare", f"zoo:por_i({n})", "zoo:por_i(2)", "--allow-terms", "--table-bound", n], None),
+        (["zoo", "emit", "+".join([atom] * summands)], None),
+        (["analyze", "zoo:" + "sum(bp," * min(summands, 199) + atom + ")" * min(summands, 199)],
+         None),
+        (["compare", f"zoo:por_i({summands % 12 + 2})", "zoo:por_i(2)", "--allow-terms",
+          "--table-bound", n], None),
+    ]))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("command ran past 2 s")
+
+
+@settings(max_examples=100, deadline=None)
+@given(sized_commands())
+@example((["analyze", "{file}"], f"arity {'9' * 5000}\n"))
+def test_oversized_inputs_exit_with_a_code(tmp_path_factory, command):
+    """Numbers past what int() reads, at each of the five places input
+    text is read as a number (arity lines, term variables, relation
+    arities and indices, family parameters), long sums and raised table
+    bounds: each command finishes within 2 s, exits 0, 2, 3 or 4, and
+    lets no exception out (argparse's own exit 2 counts)."""
+    argv, text = command
+    path = tmp_path_factory.mktemp("sized") / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [a.format(file=path) if a == "{file}" else a for a in argv]
+    handler = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(2)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code in (0, 2, 3, 4)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,48 @@ def test_term_route_refuses_a_source_above_the_table_bound(monkeypatch):
     bound4 = dataclasses.replace(DEFAULT_CONFIG, table_bound=4)
     assert compare(zoo.por(5), zoo.por(2), bound4, allow_terms=True).relation == "unknown"
     assert calls == []
+
+
+def test_term_route_is_refused_above_the_budget_before_inlining(monkeypatch):
+    """The por_i(2) -> por_i(6) chain calls the oracle 3*4*5*6 / 2 = 360
+    times, each over 3^6 cells: 262,440 cells, evaluated at that budget
+    and refused one below it, with a note and before any step is
+    inlined.  por_i(9) at table bound 9 (3.6e9 cells) is refused at once."""
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(outer.arity)
+        return inline_oracle(outer, inner)
+
+    monkeypatch.setattr(definability, "inline_oracle", counted)
+    at = dataclasses.replace(DEFAULT_CONFIG, budget=262440)
+    assert compare(zoo.por(6), zoo.por(2), at, allow_terms=True).relation == "left_below_strict"
+    assert calls == [4, 5, 6]
+    calls.clear()
+    below = dataclasses.replace(DEFAULT_CONFIG, budget=262439)
+    verdict = compare(zoo.por(6), zoo.por(2), below, allow_terms=True)
+    assert calls == []
+    assert verdict.relation == "unknown"
+    assert (
+        "term route por_i(6) -> por_i(2) skipped (term route needs 262440 states, "
+        "budget allows 262439)"
+    ) in verdict.notes
+    wide = dataclasses.replace(DEFAULT_CONFIG, table_bound=9)
+    start = time.perf_counter()
+    verdict = compare(zoo.por(9), zoo.por(2), wide, allow_terms=True)
+    assert time.perf_counter() - start < 1
+    assert verdict.relation == "unknown" and calls == []
+    assert any(n.startswith("term route por_i(9) -> por_i(2) skipped") for n in verdict.notes)
+
+
+def test_coherence_bound_is_refused_before_the_mapping_searches():
+    """compare needs both levels, and por_i(100)'s 101 entries are past
+    the coherence bound: that is refused before bm_search walks the
+    101^3 mappings of por_i(2) into it."""
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="above coherence bound"):
+        compare(zoo.por(100), zoo.por(2), allow_terms=True)
+    assert time.perf_counter() - start < 1
 
 
 def test_compare_gustave_below_stable_top():

@@ -3,6 +3,8 @@ the name grammar, and the golden self-test."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from parlevel import FormatError, fn_sum, neg, zoo
@@ -124,6 +126,22 @@ def test_make_nesting_bound():
     assert zoo.make(at_bound) == zoo.bp()  # an even number of negations
     with pytest.raises(FormatError, match="nesting"):
         zoo.make("neg(" * 1200 + "bp" + ")" * 1200)
+
+
+@pytest.mark.parametrize(
+    "name", ["+".join(["bp"] * 200), "+".join(["por_i(100)"] * 24), "sum(bp,bp+bp+bp+bp)"]
+)
+def test_sum_bound(name):
+    """The summands are counted in the name, before any sum is built."""
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"summands above sum bound {zoo.SUM_BOUND}"):
+        zoo.make(name)
+    assert time.perf_counter() - start < 1
+
+
+def test_sum_bound_is_accepted():
+    four = zoo.make("sum(bp,ttdet)+det+lsand")
+    assert four == fn_sum(fn_sum(fn_sum(zoo.bp(), zoo.ttdet()), zoo.det()), zoo.left_strict_and())
 
 
 @pytest.mark.parametrize(
