@@ -3,7 +3,7 @@
 and classes are populated, with one example trace per level.
 
 Usage:
-    python scripts/plevel_census.py [--arity 2]
+    python scripts/plevel_census.py [--arity {1,2,3}]   (default 2)
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from parlevel import classify, enumerate_monotone
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--arity", type=int, default=2, choices=(1, 2))
+    parser.add_argument("--arity", type=int, default=2, choices=(1, 2, 3))
     args = parser.parse_args()
 
     levels: Counter = Counter()
@@ -33,14 +33,15 @@ def main() -> int:
             classes[c] += 1
 
     print(f"monotone functions of arity {args.arity}: {total}")
+    width = max(4, len(str(total)))
     print("\nby level:")
     for key in sorted(levels, key=lambda s: (len(s), s)):
         fn = examples[key]
         rows = ", ".join(str(e) for e in fn.entries) or "(empty trace)"
-        print(f"  {key:>12}  {levels[key]:4d}   e.g. {rows}")
+        print(f"  {key:>12}  {levels[key]:{width}d}   e.g. {rows}")
     print("\nby class:")
     for name, count in classes.most_common():
-        print(f"  {name:>18}  {count:4d}")
+        print(f"  {name:>18}  {count:{width}d}")
     return 0
 
 

@@ -192,29 +192,18 @@ def table_of(fn: MonotoneFn) -> np.ndarray:
     return table
 
 
-def _lowerings(cubes: np.ndarray, arity: int):
-    """The lowered-coordinate rule over the (3,)*arity cubes in the last
-    axes of `cubes`, one coordinate c at a time: a cell whose value is
-    defined once c is lowered to undefined must equal that value.
-    Yields c, the index of the cells where c is T or F, which of them
-    are defined with c lowered (`covered`), and which of those break
-    the rule (`wrong`, a length-2 axis at c); monotone means none do."""
-    for c in range(arity):
-        rest = (slice(None),) * (arity - 1 - c)
-        raised = (..., slice(1, None), *rest)
-        low = cubes[(..., slice(0, 1), *rest)]
-        covered = low != 0
-        yield c, raised, covered, covered & (cubes[raised] != low)
-
-
-def monotone_tables(tables: np.ndarray, arity: int) -> np.ndarray:
-    """Which of a batch of tables, one per row in `table_of`'s layout,
-    are monotone."""
-    cubes = tables.reshape((len(tables),) + (3,) * arity)
-    ok = np.ones(len(tables), dtype=bool)
-    for *_, wrong in _lowerings(cubes, arity):
-        ok &= ~wrong.reshape(len(tables), -1).any(axis=1)
-    return ok
+def monotone_tables(arity: int) -> np.ndarray:
+    """Every monotone table of the given arity, one per row in
+    `table_of`'s layout, in lexicographic order: a table is its slices
+    at first coordinate undefined, T and F, and is monotone exactly when
+    each slice is and the first lies below the other two cell by cell."""
+    tables = np.arange(3, dtype=np.int8)[:, None]
+    for _ in range(arity):
+        low, high = tables[:, None], tables[None]
+        below = ((low == 0) | (low == high)).all(axis=2)
+        b, t, f = np.nonzero(below[:, :, None] & below[:, None, :])
+        tables = np.concatenate((tables[b], tables[t], tables[f]), axis=1)
+    return tables
 
 
 def trace_from_table(
@@ -233,10 +222,17 @@ def trace_from_table(
     cube = cube.reshape((3,) * arity)
     minimal = cube != 0
     bad = []
-    for c, raised, covered, wrong in _lowerings(cube, arity):
+    for c in range(arity):
+        # a cell defined with c lowered to undefined keeps its value
+        rest = (slice(None),) * (arity - 1 - c)
+        raised = (..., slice(1, None), *rest)
+        low = cube[(..., slice(0, 1), *rest)]
+        covered = low != 0
         minimal[raised] &= ~covered
-        for *rest, up in np.argwhere(np.moveaxis(wrong, c, -1))[:1].tolist():
-            bad.append(((*rest[:c], 0, *rest[c:]), c, up + 1))
+        wrong = covered & (cube[raised] != low)
+        if wrong.any():
+            *other, up = np.argwhere(np.moveaxis(wrong, c, -1))[0].tolist()
+            bad.append(((*other[:c], 0, *other[c:]), c, up + 1))
     if bad:
         low, c, up = min(bad)
         high = low[:c] + (up,) + low[c + 1 :]

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import BoundExceededError
 from .functions import (
     MonotoneFn,
@@ -190,7 +188,7 @@ def classify(fn: MonotoneFn) -> ClassReport:
 # Exhaustive enumeration (oracle support)
 # ---------------------------------------------------------------------------
 
-ENUMERATION_BOUND = 2  # largest arity enumerate_monotone streams
+ENUMERATION_BOUND = 3  # arity 4 would compare 129,615^2 pairs of tables
 
 
 def enumerate_monotone(arity: int) -> Iterator[MonotoneFn]:
@@ -200,6 +198,5 @@ def enumerate_monotone(arity: int) -> Iterator[MonotoneFn]:
         raise BoundExceededError(
             f"arity {arity} above enumeration bound {ENUMERATION_BOUND}"
         )
-    tables = np.indices((3,) * 3**arity, dtype=np.int8).reshape(3**arity, -1).T
-    for table in tables[monotone_tables(tables, arity)]:
+    for table in monotone_tables(arity):
         yield trace_from_table(arity, table)

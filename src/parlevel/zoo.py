@@ -177,7 +177,16 @@ def make(name: str) -> MonotoneFn:
             raise FormatError(f"sum takes two arguments: {name!r}")
         return fn_sum(make(inner[0]), make(inner[1]))
     if text.startswith("neg(") and text.endswith(")"):
-        return neg(make(text[4:-1]))
+        # neg(neg(f)) has f's trace: peel every one-operand neg( and
+        # build the operand once, keeping the nested name
+        inner, count = text[4:-1], 1
+        while (inner.startswith("neg(") and inner.endswith(")")
+               and len(_split_top(inner, "+", inner)) == 1):
+            inner, count = inner[4:-1], count + 1
+        fn = make(inner)
+        if count % 2:
+            fn, count = neg(fn), count - 1
+        return fn.renamed("neg(" * count + fn.name + ")" * count) if count else fn
     if text in _ATOMS:
         return _ATOMS[text]()
     m = _PARAM_RE.match(text)

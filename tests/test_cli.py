@@ -596,6 +596,8 @@ def sized_commands(draw):
         (["zoo", "emit", "+".join([atom] * summands)], None),
         (["analyze", "zoo:" + "sum(bp," * min(summands, 199) + atom + ")" * min(summands, 199)],
          None),
+        (["zoo", "emit", "neg(" * min(summands, 199) + "bg(100,1)" + ")" * min(summands, 199)],
+         None),
         (["compare", f"zoo:por_i({summands % 12 + 2})", "zoo:por_i(2)", "--allow-terms",
           "--table-bound", n], None),
     ]))
@@ -608,12 +610,14 @@ def _timeout(signum, frame):
 @settings(max_examples=100, deadline=None)
 @given(sized_commands())
 @example((["analyze", "{file}"], f"arity {'9' * 5000}\n"))
+@example((["zoo", "emit", "neg(" * 199 + "bg(100,1)" + ")" * 199], None))
 def test_oversized_inputs_exit_with_a_code(tmp_path_factory, command):
     """Numbers past what int() reads, at each of the five places input
     text is read as a number (arity lines, term variables, relation
-    arities and indices, family parameters), long sums and raised table
-    bounds: each command finishes within 2 s, exits 0, 2, 3 or 4, and
-    lets no exception out (argparse's own exit 2 counts)."""
+    arities and indices, family parameters), long sums, deep neg(
+    nesting and raised table bounds: each command finishes within 2 s,
+    exits 0, 2, 3 or 4, and lets no exception out (argparse's own exit 2
+    counts)."""
     argv, text = command
     path = tmp_path_factory.mktemp("sized") / "input"
     if text is not None:

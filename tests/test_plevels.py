@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,7 @@ from parlevel import (
     validate_trace,
     zoo,
 )
+from parlevel.functions import monotone_tables
 from parlevel.lattice import mask_coherent
 from parlevel.plevels import min_coherent_subset
 from parlevel.relations import constructed_witness
@@ -50,6 +53,8 @@ from test_lattice import oracle_compatible
 
 # brute-filter golden values: monotone total functions at arity 1 and 2
 MONOTONE_COUNT = {1: 11, 2: 197}
+# the arity-3 count, as also found by pairing disjoint upper sets
+ARITY3_COUNT = 129_615
 
 
 def test_plevel_validation():
@@ -247,11 +252,26 @@ def test_enumeration_counts_and_validity():
             if oracle_first_violation(arity, vals) is None
         ]
         assert list(enumerate_monotone(arity)) == expected
+    # arity 3: too many for the scalar scan, and for a trace each
+    tables = monotone_tables(3)
+    assert tables.shape == (ARITY3_COUNT, 27)
+    codes = tables.astype(np.int64) @ 3 ** np.arange(26, -1, -1)
+    assert (np.diff(codes) > 0).all()  # strictly increasing, so distinct
+    # every row monotone: each cell against the cell with one defined
+    # coordinate lowered to undefined
+    for c in range(3):
+        place = 3 ** (2 - c)
+        raised = [x for x in range(27) if x // place % 3]
+        lowered = [x - x // place % 3 * place for x in raised]
+        low, high = tables[:, lowered], tables[:, raised]
+        assert ((low == 0) | (low == high)).all()
+    for i in random.Random(20261020).sample(range(ARITY3_COUNT), 200):
+        assert (table_of(trace_from_table(3, tables[i])) == tables[i]).all()
 
 
 def test_enumeration_bound():
     with pytest.raises(BoundExceededError):
-        list(enumerate_monotone(3))
+        list(enumerate_monotone(4))
 
 
 def test_bcc_at_least_cc_on_enumeration():
@@ -268,13 +288,14 @@ def test_classify_sequential_matches_recursive_test():
     for arity in (3, 4):
         for fn in sampled_monotone(arity, count=300, seed=20261018 + arity):
             assert is_m_sequential(fn) == (cc(fn) == INF), fn
+    for table in monotone_tables(3)[::50]:
+        fn = trace_from_table(3, table)
+        assert classify(fn).sequential == is_m_sequential(fn), fn
 
 
 def sampled_monotone(arity: int, count: int, seed: int):
     """Deterministic random monotone functions: greedily grow a trace
     from shuffled candidate entries, keeping it minimal and consistent."""
-    import random
-
     from parlevel import ComparableRowsError, InconsistentOutputsError, Tri
 
     rng = random.Random(seed)
@@ -306,14 +327,17 @@ def entry_from(code: int, arity: int, out_v):
 
 def test_level_criterion_on_sampled_arity3():
     """The exhaustive oracle equivalence holds at arity 2; spot-check the
-    same agreement on seeded random arity-3 functions, where exhaustive
-    enumeration is out of reach."""
+    same agreement at arity 3 on seeded greedy traces and on a seeded
+    sample of the exhaustive list."""
     from parlevel import is_invariant
 
     relations = [canonical_equal(m) for m in (2, 3, 4)] + [
         canonical_strict(m) for m in (1, 2, 3)
     ]
-    for fn in sampled_monotone(3, count=40, seed=20260810):
+    tables = monotone_tables(3)
+    picks = random.Random(20260811).sample(range(ARITY3_COUNT), 40)
+    fns = sampled_monotone(3, count=40, seed=20260810)
+    for fn in fns + [trace_from_table(3, tables[i]) for i in picks]:
         level = p_level(fn)
         for rel in relations:
             assert predict_invariant(level, rel) == is_invariant(fn, rel), (
