@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 
 from parlevel import compare
+from parlevel.cli import run_to_stdout
 from parlevel.zoo import make
 
 DEFAULT_NAMES = [
@@ -61,4 +62,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_to_stdout(main))

@@ -12,6 +12,7 @@ import argparse
 from collections import Counter
 
 from parlevel import classify, enumerate_monotone
+from parlevel.cli import run_to_stdout
 
 
 def main() -> int:
@@ -46,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_to_stdout(main))

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .config import DEFAULT_CONFIG, SearchConfig
 from .definability import compare
@@ -285,24 +286,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_to_stdout(run: Callable[[], int]) -> int:
+    """Exit code of `run()`, or 141 if the reader of stdout has gone."""
     try:
-        code = args.fn(args)
+        code = run()
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
         return code
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
-        # the reader is gone: stop quietly, with stdout on the null device
-        # so that the interpreter's own flush at exit does not fail again
+        # stop quietly, with stdout on the null device so that the
+        # interpreter's own flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run() -> int:
+        try:
+            return args.fn(args)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except AnalysisError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+
+    return run_to_stdout(run)
 
 
 if __name__ == "__main__":

@@ -13,16 +13,15 @@ budget.  CELL_LIMIT caps every input-sized array, a table or a
 relation listing, whatever the flags say.
 
 A validated function also carries its trace's coherence facts, built
-once at construction: the bitplanes of its inputs (`planes`, see
-`lattice.bitplanes`) and the mask of its true-valued entries
-(`tt_mask`); its `coherent_subsets` are listed on first use.  The
-levels, validation, stability and trace mappings read these facts.
+once at construction with the check: its inputs' bitplanes (`planes`,
+see `lattice.bitplanes`), the mask of its true-valued entries
+(`tt_mask`) and whether no two entries are coherent (`stable`).  Its
+`coherent_subsets` are listed on first use, for the levels and mappings.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -38,7 +37,7 @@ from .errors import (
     NonMonotoneTableError,
 )
 from .lattice import (
-    BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, mask_coherent, masks_coherent
+    BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, masks_coherent
 )
 
 CELL_LIMIT = 10**8  # cells of an input-sized array: a table or a relation listing
@@ -70,9 +69,9 @@ class MonotoneFn:
 
     Construction validates the trace invariants: inputs pairwise
     incomparable, and compatible (coherent) input pairs agree on the
-    output.  It keeps the inputs' bitplanes and the mask of true-valued
-    entries, bit p standing for entry p.  Equality ignores the optional
-    name and these derived facts.
+    output.  It keeps the inputs' bitplanes, the mask of true-valued
+    entries (bit p standing for entry p) and stability.  Equality ignores
+    the optional name and these derived facts.
     """
 
     arity: int
@@ -80,6 +79,7 @@ class MonotoneFn:
     name: str | None = field(default=None, compare=False)
     planes: Bitplanes = field(init=False, compare=False, repr=False)
     tt_mask: int = field(init=False, compare=False, repr=False)
+    stable: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -97,19 +97,32 @@ class MonotoneFn:
             )
         planes = bitplanes(self.inputs)
         tt_mask = sum(1 << p for p, e in enumerate(self.entries) if e.output == TT)
+        ff_mask = (1 << self.trace_size) - 1 & ~tt_mask
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "tt_mask", tt_mask)
-        # x <= y implies code(x) <= code(y), so in a pair taken in sorted
-        # order only the first input can lie below the second
-        for (p, a), (q, b) in itertools.combinations(enumerate(self.entries), 2):
-            if leq(a.input, b.input):
-                raise ComparableRowsError(
-                    f"comparable trace inputs: {a.input.text} and {b.input.text}"
-                )
-            if a.output != b.output and mask_coherent((1 << p) | (1 << q), planes):
+        # x <= y implies code(x) <= code(y), so only later entries can lie above a.
+        # Of those, `upper` holds a's values and `coherent` them or undefined where
+        # a is defined; the lowest bad one makes the first bad pair in pair order
+        stable = True
+        for p, a in enumerate(self.entries):
+            upper = coherent = (tt_mask | ff_mask) >> (p + 1) << (p + 1)
+            for plane, v in zip(planes, a.input.entries):
+                if v != BOT:
+                    upper &= plane[v]
+                    coherent &= plane[v] | plane[BOT]
+            stable = stable and not coherent
+            bad = upper | coherent & (ff_mask if a.output == TT else tt_mask)
+            if bad:
+                q = (bad & -bad).bit_length() - 1
+                b = self.entries[q]
+                if upper >> q & 1:
+                    raise ComparableRowsError(
+                        f"comparable trace inputs: {a.input.text} and {b.input.text}"
+                    )
                 raise InconsistentOutputsError(
                     f"compatible inputs with different outputs: {a} and {b}"
                 )
+        object.__setattr__(self, "stable", stable)
 
     @functools.cached_property
     def coherent_subsets(self) -> list[int]:
@@ -278,10 +291,7 @@ def fn_sum(f: MonotoneFn, g: MonotoneFn) -> MonotoneFn:
 def is_stable(fn: MonotoneFn) -> bool:
     """Stability at first order: no two trace inputs are compatible,
     i.e. no pair of entries is coherent."""
-    return not any(
-        mask_coherent((1 << p) | (1 << q), fn.planes)
-        for p, q in itertools.combinations(range(fn.trace_size), 2)
-    )
+    return fn.stable
 
 
 def is_monovalued(fn: MonotoneFn) -> bool:

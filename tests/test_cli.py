@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -273,18 +274,25 @@ def test_empty_name_comment_leaves_the_file_stem(capsys, tmp_path):
     assert out.startswith("unnamed: arity 1, trace size 1\n")
 
 
-@pytest.mark.parametrize("argv", [["zoo", "list"], ["verify", "plevels", "--json"]],
-                         ids=["zoo-list", "verify-json"])
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "parlevel.cli", "zoo", "list"],
+    ["-m", "parlevel.cli", "verify", "plevels", "--json"],
+    [str(SCRIPTS / "plevel_census.py"), "--arity", "1"],
+    [str(SCRIPTS / "degree_matrix.py"), "--names", "bp,ttdet,det"],
+], ids=["zoo-list", "verify-json", "census", "degree-matrix"])
 def test_closed_stdout_exits_141_quietly(argv):
     """The pipe's read end is closed before the command starts, so its
-    first write to stdout fails."""
+    first write to stdout fails, in the command line and in both scripts."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(parlevel.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "parlevel.cli", *argv],
+            [sys.executable, *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
         )
     finally:
@@ -572,16 +580,25 @@ LARGE_NUMBER = st.one_of(
 )
 
 
+def all_total(k):
+    """Trace text of arity k with every row of T and F mapped to T:
+    2^k pairwise incoherent entries."""
+    rows = "".join("".join(t) + " -> T\n" for t in itertools.product("TF", repeat=k))
+    return f"arity {k}\n{rows}"
+
+
 @st.composite
 def sized_commands(draw):
     """A command line and the text of its one input file (or None),
-    built around a large number, a long sum or a raised table bound;
-    `{file}` in the command stands for the file's path."""
+    built around a large number, a long sum, a raised table bound or a
+    trace of thousands of entries; `{file}` in the command stands for
+    the file's path and `{term}` for a one-line term file."""
     n = draw(LARGE_NUMBER)
     summands = draw(st.integers(2, 400))
     atom = draw(st.sampled_from(["bp", "ttdet", "por_i(3)", "sum(bp,det)", "neg(gustave)"]))
     return draw(st.sampled_from([
         (["analyze", "{file}"], f"arity {n}\n"),
+        (["analyze", "{file}"], all_total(draw(st.integers(10, 12)))),
         (["invariance", "{file}", "--relation", "preseq n=1 A= B="], f"arity {n}\n"),
         (["compare", "{file}", "zoo:bp"], f"arity {n}\n"),
         (["compare", "zoo:bp", "{file}", "--allow-terms", "--table-bound", n], f"arity {n}\n"),
@@ -611,18 +628,24 @@ def _timeout(signum, frame):
 @given(sized_commands())
 @example((["analyze", "{file}"], f"arity {'9' * 5000}\n"))
 @example((["zoo", "emit", "neg(" * 199 + "bg(100,1)" + ")" * 199], None))
+@example((["analyze", "{file}"], all_total(12)))
+@example((["compare", "{file}", "zoo:bp"], all_total(12)))
+@example((["invariance", "{file}", "--relation", "preseq n=1 A= B="], all_total(12)))
+@example((["term", "{term}", "--oracle", "{file}"], all_total(12)))
 def test_oversized_inputs_exit_with_a_code(tmp_path_factory, command):
     """Numbers past what int() reads, at each of the five places input
     text is read as a number (arity lines, term variables, relation
     arities and indices, family parameters), long sums, deep neg(
-    nesting and raised table bounds: each command finishes within 2 s,
-    exits 0, 2, 3 or 4, and lets no exception out (argparse's own exit 2
-    counts)."""
+    nesting, raised table bounds and traces of up to 4,096 entries: each
+    command finishes within 2 s, exits 0, 2, 3 or 4, and lets no
+    exception out (argparse's own exit 2 counts)."""
     argv, text = command
-    path = tmp_path_factory.mktemp("sized") / "input"
+    folder = tmp_path_factory.mktemp("sized")
+    path, term = folder / "input", folder / "one.term"
     if text is not None:
         path.write_text(text)
-    argv = [a.format(file=path) if a == "{file}" else a for a in argv]
+    term.write_text("arity 1\n(g x1)\n")
+    argv = [{"{file}": str(path), "{term}": str(term)}.get(a, a) for a in argv]
     handler = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(2)
     try:

@@ -177,12 +177,12 @@ tri = st.sampled_from([BOT, TT, FF])
 
 @st.composite
 def entry_lists(draw):
-    """Arity and up to six random entries, valid as a trace or not."""
-    k = draw(st.integers(1, 3))
+    """Arity and up to eight random entries, valid as a trace or not."""
+    k = draw(st.integers(1, 4))
     rows = draw(
         st.lists(
             st.tuples(st.lists(tri, min_size=k, max_size=k), st.sampled_from([TT, FF])),
-            max_size=6,
+            max_size=8,
         )
     )
     return k, [TraceEntry(TriTuple(tuple(x)), out) for x, out in rows]
@@ -190,25 +190,33 @@ def entry_lists(draw):
 
 @settings(deadline=None)
 @given(entry_lists())
+@example((2, [entry("T_", "T"), entry("_T", "T")]))
 def test_construction_rejects_exactly_the_pairwise_violations(case):
+    """The first pair of entries, in sorted order, that is comparable or
+    compatible with different outputs names the error; a valid trace is
+    stable exactly when no pair is compatible."""
     k, rows = case
-    pairs = list(itertools.combinations(rows, 2))
-    comparable = any(
-        oracle_leq(a.input, b.input) or oracle_leq(b.input, a.input) for a, b in pairs
-    )
-    inconsistent = any(
-        a.output != b.output and oracle_compatible(a.input, b.input) for a, b in pairs
-    )
-    if not comparable and not inconsistent:
-        MonotoneFn(k, tuple(rows))
+    pairs = list(itertools.combinations(sorted(rows, key=lambda e: e.key), 2))
+
+    def comparable(a, b):
+        return oracle_leq(a.input, b.input) or oracle_leq(b.input, a.input)
+
+    def inconsistent(a, b):
+        return a.output != b.output and oracle_compatible(a.input, b.input)
+
+    bad = [(a, b) for a, b in pairs if comparable(a, b) or inconsistent(a, b)]
+    if not bad:
+        fn = MonotoneFn(k, tuple(rows))
+        assert is_stable(fn) == (not any(oracle_compatible(a.input, b.input) for a, b in pairs))
         return
-    expected = []
-    if comparable:
-        expected.append(ComparableRowsError)
-    if inconsistent:
-        expected.append(InconsistentOutputsError)
-    with pytest.raises(tuple(expected)):
+    a, b = bad[0]
+    if comparable(a, b):
+        error = ComparableRowsError(f"comparable trace inputs: {a.input.text} and {b.input.text}")
+    else:
+        error = InconsistentOutputsError(f"compatible inputs with different outputs: {a} and {b}")
+    with pytest.raises(type(error)) as raised:
         MonotoneFn(k, tuple(rows))
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
 
 @settings(deadline=None)
