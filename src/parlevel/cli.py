@@ -11,7 +11,9 @@ any other input error, since no flag moves those bounds.  A term file
 or function name nested past functions.NESTING_BOUND, a family
 parameter above zoo.PARAM_BOUND, a name of more than zoo.SUM_BOUND
 summands, or a number of more than errors.DIGIT_LIMIT digits, is a
-FormatError, so it exits 3 too.
+FormatError, so it exits 3 too, as does a malformed command line (a
+flag number is read by functions.read_number); only `-h` exits from
+argparse itself.
 Budget overruns exit 4 because `--budget` moves the budget.
 """
 
@@ -27,8 +29,8 @@ from typing import Callable
 
 from .config import DEFAULT_CONFIG, SearchConfig
 from .definability import compare
-from .errors import AnalysisError, BudgetExceededError
-from .functions import MonotoneFn, format_trace, parse_trace
+from .errors import AnalysisError, BudgetExceededError, FormatError
+from .functions import MonotoneFn, format_trace, parse_trace, read_number
 from .plevels import classify
 from .relations import (
     format_relation,
@@ -87,11 +89,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(report.to_json_dict())
         return 0
-    d = report.to_json_dict()
-    print(f"{d['name']}: arity {d['arity']}, trace size {d['trace_size']}")
-    print(f"  cc = {d['cc']}, bcc = {d['bcc']}, level = {tuple(d['plevel'])}")
-    print(f"  classes: {', '.join(d['classes']) or '-'}")
-    print(f"  degree alias: {d['degree_alias']}")
+    print(f"{report.name}: arity {report.arity}, trace size {report.trace_size}")
+    print(f"  cc = {report.cc}, bcc = {report.bcc}, level = {report.plevel}")
+    print(f"  classes: {', '.join(report.classes) or '-'}")
+    print(f"  degree alias: {report.degree_alias}")
     return 0
 
 
@@ -214,8 +215,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are input errors, exit 3
+    (subparsers take the same class)."""
+
+    def error(self, message):
+        raise AnalysisError(message)
+
+
+def _flag_number(text: str) -> int:
+    """A flag's number, read by the rule every number in the input follows."""
+    try:
+        value = read_number(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a number in ASCII digits: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parlevel",
         description=(
             "Analyze first-order monotone boolean functions: invariance "
@@ -225,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
         "--json": dict(action="store_true", help="machine-readable output"),
-        "--budget": dict(type=int, help="brute-force state budget"),
-        "--table-bound": dict(type=int, help="max arity for full-table evaluation"),
+        "--budget": dict(type=_flag_number, help="brute-force state budget"),
+        "--table-bound": dict(type=_flag_number, help="max arity for full-table evaluation"),
     }
 
     def add_flags(p, *names):  # only the flags the command reads
@@ -300,10 +320,9 @@ def run_to_stdout(run: Callable[[], int]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-
     def run() -> int:
         try:
+            args = build_parser().parse_args(argv)
             return args.fn(args)
         except BudgetExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -312,7 +312,7 @@ def _positive(
     if allow_terms:
         try:
             return _try_term_route(f, g, config)
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, BoundExceededError) as exc:
             notes.append(f"term route {f.label} -> {g.label} skipped ({exc})")
     return None
 

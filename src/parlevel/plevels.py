@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceededError
-from .functions import (
-    MonotoneFn,
-    is_bivalued,
-    is_monovalued,
-    monotone_tables,
-    trace_from_table,
-)
+from .functions import MonotoneFn, monotone_tables, trace_from_table
 from .lattice import TriTuple
 
 
@@ -104,15 +98,7 @@ def p_level_of_sum(pf: PLevel, pg: PLevel) -> PLevel:
 # Classification
 # ---------------------------------------------------------------------------
 
-_CLASS_ORDER = (
-    "sequential",
-    "stable",
-    "unstable",
-    "monovalued",
-    "bivalued",
-    "stable_dominating",
-    "subsequential",
-)
+_DEGREE_ALIASES = {PLevel(2, 2): "BP", PLevel(INF, 1): "DET"}
 
 
 @dataclass(frozen=True)
@@ -123,18 +109,8 @@ class ClassReport:
     cc: int | float
     bcc: int | float
     plevel: PLevel
-    sequential: bool
-    stable: bool
-    unstable: bool
-    monovalued: bool
-    bivalued: bool
-    stable_dominating: bool
-    subsequential: bool
+    classes: tuple[str, ...]
     degree_alias: str  # "BP" | "DET" | "none"
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(c for c in _CLASS_ORDER if getattr(self, c))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,37 +126,33 @@ class ClassReport:
 
 
 def classify(fn: MonotoneFn) -> ClassReport:
-    """Everything here is read off (cc, bcc) and the trace outputs; no
-    relation searches are run.  Sequential means no coherent subset at
-    all; stable means no coherent pair; the two complete-degree aliases
-    are the (2,2) and (inf,1) levels.  The (2,1) level is reported as
-    stable_dominating only, without an alias."""
-    c = cc(fn)
-    b = bcc(fn)
-    level = PLevel(b - 1, c - 1)
-    sequential = c == INF
-    stable = c >= 3
-    if level == PLevel(2, 2):
-        alias = "BP"
-    elif level == PLevel(INF, 1):
-        alias = "DET"
-    else:
-        alias = "none"
+    """Everything here is read off the level, the recorded stability
+    (`fn.stable`) and the number of output values; no relation searches
+    are run.  Sequential means no coherent subset at all (cc = inf),
+    subsequential no bivalued one (bcc = inf); stable means no coherent
+    pair.  The two complete-degree aliases are the (2,2) and (inf,1)
+    levels.  The (2,1) level is reported as stable_dominating only,
+    without an alias."""
+    level = p_level(fn)
+    values = len(set(fn.outputs))
+    flags = {
+        "sequential": level.j == INF,
+        "stable": fn.stable,
+        "unstable": not fn.stable,
+        "monovalued": values == 1,
+        "bivalued": values == 2,
+        "stable_dominating": level == PLevel(2, 1),
+        "subsequential": level.i == INF,
+    }
     return ClassReport(
         name=fn.label,
         arity=fn.arity,
         trace_size=fn.trace_size,
-        cc=c,
-        bcc=b,
+        cc=level.j + 1,
+        bcc=level.i + 1,
         plevel=level,
-        sequential=sequential,
-        stable=stable,
-        unstable=not stable,
-        monovalued=is_monovalued(fn),
-        bivalued=is_bivalued(fn),
-        stable_dominating=level == PLevel(2, 1),
-        subsequential=b == INF,
-        degree_alias=alias,
+        classes=tuple(c for c, holds in flags.items() if holds),
+        degree_alias=_DEGREE_ALIASES.get(level, "none"),
     )
 
 

@@ -104,7 +104,7 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     out.append(
         CheckResult(
             "por_i(2): stable-dominating, no alias",
-            rep.stable_dominating and rep.degree_alias == "none",
+            "stable_dominating" in rep.classes and rep.degree_alias == "none",
             f"got alias {rep.degree_alias}",
         )
     )

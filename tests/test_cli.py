@@ -44,6 +44,17 @@ def test_analyze_zoo_ttdet_alias(capsys):
     assert report["degree_alias"] == "DET"
 
 
+def test_analyze_text_writes_the_level_as_plevel_does(capsys):
+    code, out, _ = run(capsys, "analyze", "zoo:ttdet")
+    assert code == 0
+    assert out == (
+        "ttdet: arity 2, trace size 2\n"
+        "  cc = 2, bcc = inf, level = (inf, 1)\n"
+        "  classes: unstable, monovalued, subsequential\n"
+        "  degree alias: DET\n"
+    )
+
+
 def test_emit_then_analyze_roundtrip_byte_exact(capsys, tmp_path):
     path = tmp_path / "bg21.trace"
     code, _, _ = run(capsys, "zoo", "emit", "bg(2,1)", "-o", str(path))
@@ -437,10 +448,43 @@ def test_oversized_table_is_input_error(capsys, tmp_path, arity, oracle, flags, 
 def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
     termfile = tmp_path / "t.term"
     termfile.write_text("arity 1\n(not x1)\n")
+    code, out, err = run(capsys, *[a.format(termfile=termfile) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "zoo:bp", "zoo:bp", "--budgte", "5"],
+         "unrecognized arguments: --budgte 5"),
+        (["compare", "zoo:bp", "zoo:bp", "--budget", "1_0"],
+         "argument --budget: not a number in ASCII digits: '1_0'"),
+        (["compare", "zoo:bp", "zoo:bp", "--budget", "\uff15"],
+         "argument --budget: not a number in ASCII digits: '\uff15'"),
+        (["invariance", "zoo:bp", "--relation", "preseq n=3 A=1 B=1,2", "--budget", "-5"],
+         "argument --budget: not a number in ASCII digits: '-5'"),
+        (["term", "t.term", "--oracle", "zoo:ttdet", "--table-bound", "9" * 5000],
+         "argument --table-bound: number of 5000 digits above bound 4300"),
+        (["compare", "zoo:bp"], "the following arguments are required: right"),
+    ],
+    ids=["misspelt-flag", "underscore", "fullwidth-digit", "negative", "5000-digits",
+         "missing-positional"],
+)
+def test_malformed_command_line_is_an_input_error(capsys, argv, message):
+    """One `error:` line and exit 3, like any other input error; exit 2
+    is left to an unknown verdict."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([a.format(termfile=termfile) for a in argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["compare", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: parlevel compare")
 
 
 def test_zoo_list(capsys):
@@ -601,6 +645,8 @@ def sized_commands(draw):
         (["analyze", "{file}"], all_total(draw(st.integers(10, 12)))),
         (["invariance", "{file}", "--relation", "preseq n=1 A= B="], f"arity {n}\n"),
         (["compare", "{file}", "zoo:bp"], f"arity {n}\n"),
+        (["compare", "zoo:bp", "zoo:ttdet", "--budget", n], None),
+        (["invariance", "zoo:bp", "--relation", "preseq n=3 A=1 B=1,2", "--budget", n], None),
         (["compare", "zoo:bp", "{file}", "--allow-terms", "--table-bound", n], f"arity {n}\n"),
         (["term", "{file}", "--oracle", "zoo:ttdet", "--table-bound", n], f"arity {n}\n(g x1)\n"),
         (["term", "{file}", "--oracle", "zoo:ttdet"], f"arity 2\n(g x1 x{n})\n"),
@@ -635,10 +681,10 @@ def _timeout(signum, frame):
 def test_oversized_inputs_exit_with_a_code(tmp_path_factory, command):
     """Numbers past what int() reads, at each of the five places input
     text is read as a number (arity lines, term variables, relation
-    arities and indices, family parameters), long sums, deep neg(
-    nesting, raised table bounds and traces of up to 4,096 entries: each
-    command finishes within 2 s, exits 0, 2, 3 or 4, and lets no
-    exception out (argparse's own exit 2 counts)."""
+    arities and indices, family parameters, flag values), long sums,
+    deep neg( nesting, raised table bounds and budgets, and traces of up
+    to 4,096 entries: each command finishes within 2 s, exits 0, 2, 3
+    or 4, and lets no exception out."""
     argv, text = command
     folder = tmp_path_factory.mktemp("sized")
     path, term = folder / "input", folder / "one.term"
@@ -651,8 +697,6 @@ def test_oversized_inputs_exit_with_a_code(tmp_path_factory, command):
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
     except TimeoutError:
         code = "still running after 2 s"
     finally:

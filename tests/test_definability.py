@@ -221,6 +221,21 @@ def test_term_route_refuses_a_source_above_the_table_bound(monkeypatch):
     assert calls == []
 
 
+def test_term_route_over_the_cell_cap_is_a_note():
+    """por_i(17) within a table bound of 20 and a budget of 10^12 still
+    needs 3^17 cells, above the fixed cell cap: the term route is
+    skipped with a note, as the mapping search is, and the separation
+    already found stands."""
+    wide = dataclasses.replace(DEFAULT_CONFIG, budget=10**12, table_bound=20)
+    verdict = compare(zoo.por(17), zoo.por(16), wide, allow_terms=True)
+    assert verdict.relation == "unknown"
+    assert [c.kind for c in verdict.evidence] == ["separation"]
+    assert (
+        "term route por_i(17) -> por_i(16) skipped (term arity 17 needs 3^17 "
+        "table cells, above cell cap 100000000)"
+    ) in verdict.notes
+
+
 def test_term_route_is_refused_above_the_budget_before_inlining(monkeypatch):
     """The por_i(2) -> por_i(6) chain calls the oracle 3*4*5*6 / 2 = 360
     times, each over 3^6 cells: 262,440 cells, evaluated at that budget
