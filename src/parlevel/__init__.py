@@ -35,10 +35,7 @@ from .functions import (
     entry,
     fn_sum,
     format_trace,
-    is_bivalued,
     is_m_sequential,
-    is_monovalued,
-    is_stable,
     neg,
     parse_trace,
     table_of,

@@ -4,17 +4,17 @@ Exit codes: 0 resolved verdict / pass, 1 verification failures,
 2 unknown comparison verdict, 3 input error, 4 budget exceeded,
 141 (128 + SIGPIPE) standard output closed by its reader.
 
-An input over a fixed size bound (plevels.COHERENCE_BOUND,
+Exit 4 is only a count above the `--budget` given (BudgetExceededError),
+which a larger budget would let run; every other limit exits 3 like any
+input error.  The fixed bounds (plevels.COHERENCE_BOUND,
 definability.MAPPING_BOUND, functions.RECURSION_BOUND,
-plevels.ENUMERATION_BOUND) raises BoundExceededError and exits 3 like
-any other input error, since no flag moves those bounds.  A term file
-or function name nested past functions.NESTING_BOUND, a family
+plevels.ENUMERATION_BOUND, the cell cap of functions.check_cells, the
+2^63 index limit) and `--table-bound` raise BoundExceededError.  A term
+file or function name nested past functions.NESTING_BOUND, a family
 parameter above zoo.PARAM_BOUND, a name of more than zoo.SUM_BOUND
 summands, or a number of more than errors.DIGIT_LIMIT digits, is a
-FormatError, so it exits 3 too, as does a malformed command line (a
-flag number is read by functions.read_number); only `-h` exits from
-argparse itself.
-Budget overruns exit 4 because `--budget` moves the budget.
+FormatError, as is a malformed command line (a flag number is read by
+functions.read_number); only `-h` exits from argparse itself.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, _config_from(args))
+    results = run_suite(args.suite)
     if args.json:
         _print_json(
             [
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", *SUITES],
     )
-    add_flags(p, "--json", "--budget", "--table-bound")
+    add_flags(p, "--json")
     p.set_defaults(fn=cmd_verify)
 
     return parser

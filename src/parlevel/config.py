@@ -1,7 +1,9 @@
 """Search budgets a caller may set, bundled so call sites can override them.
 
-Fixed limits on input size (coherence, mapping, recursion and
-enumeration bounds) live beside their one check as module constants.
+Only a count above `budget` is a BudgetExceededError (exit 4).  Fixed
+limits (coherence, mapping, recursion and enumeration bounds, the cell
+cap, the int64 index limit) live beside their one check as module
+constants and, like `table_bound`, raise BoundExceededError.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ class SearchConfig:
                          its chain's evaluation fills)
     table_bound       -- max arity of a full 3^k table term evaluation
                          builds: the term's, the oracle's and each
-                         all-equal probe's (a table of more than
-                         functions.CELL_LIMIT = 10^8 cells is refused
+                         all-equal probe's (a table above the 10^8-cell
+                         cap of functions.check_cells is refused
                          whatever the bound)
     """
 

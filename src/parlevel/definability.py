@@ -27,7 +27,7 @@ from .errors import (
     SoundnessError,
     state_figure,
 )
-from .functions import MonotoneFn, is_stable
+from .functions import MonotoneFn
 from .lattice import mask_coherent
 from .plevels import min_coherent_subset
 from .relations import (
@@ -152,7 +152,7 @@ def cofinal_witness(fn: MonotoneFn) -> tuple[int, BMMapping]:
     """For a stable non-sequential function, the cyclic monovalued
     function indexed by the coherence coefficient maps onto a minimal
     coherent trace subset; returns that index and the verified mapping."""
-    if not is_stable(fn):
+    if not fn.stable:
         raise InapplicableError("construction applies to stable functions only")
     subset = min_coherent_subset(fn, bivalued=False)
     if subset is None:

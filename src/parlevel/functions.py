@@ -6,11 +6,10 @@ the canonical form.  A full table (`table_of`) is a flat int8 array in
 numpy's row-major (3,)*k layout, so its index is the base-3 input code
 and `reshape((3,) * k)` gives one axis per coordinate.  Tables are built
 on demand, and every caller bounds their 3^k cells: `table_bound`
-covers each table term evaluation builds (`terms.eval_term`),
-`RECURSION_BOUND` covers `is_m_sequential`, and the invariance gate
-refuses a kernel table of more than CELL_LIMIT cells whatever the
-budget.  CELL_LIMIT caps every input-sized array, a table or a
-relation listing, whatever the flags say.
+covers each table term evaluation builds (`terms.eval_term`) and
+`RECURSION_BOUND` covers `is_m_sequential`.  Whatever the flags say,
+`check_cells` refuses any input-sized array, a table or a relation
+listing, of more than CELL_LIMIT cells, as a bound error.
 
 A validated function also carries its trace's coherence facts, built
 once at construction with the check: its inputs' bitplanes (`planes`,
@@ -35,6 +34,8 @@ from .errors import (
     FormatError,
     InconsistentOutputsError,
     NonMonotoneTableError,
+    exceeds,
+    power_count,
 )
 from .lattice import (
     BOT, FF, TT, Bitplanes, Tri, TriTuple, bitplanes, leq, masks_coherent
@@ -42,6 +43,12 @@ from .lattice import (
 
 CELL_LIMIT = 10**8  # cells of an input-sized array: a table or a relation listing
 INDEX_LIMIT = 2**63  # selections or codes an int64 index can number
+
+
+def check_cells(width: int, what: str) -> None:
+    """Refuse 3^width cells above CELL_LIMIT, whatever the flags say."""
+    if exceeds(power_count((3, width)), CELL_LIMIT):
+        raise BoundExceededError(f"{what} needs 3^{width} cells, above cell cap {CELL_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -286,20 +293,6 @@ def fn_sum(f: MonotoneFn, g: MonotoneFn) -> MonotoneFn:
     ]
     name = f"sum({f.name},{g.name})" if f.name and g.name else None
     return MonotoneFn(f.arity + 1, tuple(rows), name)
-
-
-def is_stable(fn: MonotoneFn) -> bool:
-    """Stability at first order: no two trace inputs are compatible,
-    i.e. no pair of entries is coherent."""
-    return fn.stable
-
-
-def is_monovalued(fn: MonotoneFn) -> bool:
-    return len(set(fn.outputs)) == 1
-
-
-def is_bivalued(fn: MonotoneFn) -> bool:
-    return len(set(fn.outputs)) == 2
 
 
 RECURSION_BOUND = 6  # largest arity the recursive sequentiality test takes

@@ -35,6 +35,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import (
     ArityMismatchError,
+    BoundExceededError,
     BudgetExceededError,
     FormatError,
     SoundnessError,
@@ -43,7 +44,7 @@ from .errors import (
     state_figure,
 )
 from .functions import (
-    CELL_LIMIT, INDEX_LIMIT, MonotoneFn, content_lines, read_number, table_of
+    INDEX_LIMIT, MonotoneFn, check_cells, content_lines, read_number, table_of
 )
 from .lattice import Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
@@ -217,11 +218,10 @@ def member_matrix(rel: Relation) -> np.ndarray:
     """Member tuples as an (m, n) int8 array, sorted by base-3 code:
     `rel.mask` tests all 3^n tuples, CHUNK codes at a time decoded as
     columns, and each block's kept codes are decoded again into one
-    preallocated array.  Cached and shared, so read-only.  More than
-    CELL_LIMIT codes are refused whatever the budget."""
+    preallocated array.  Cached and shared, so read-only.  A listing
+    above the cell cap is refused whatever the budget (`check_cells`)."""
+    check_cells(rel.n, "relation enumeration")
     total = 3**rel.n
-    if total > CELL_LIMIT:
-        raise BudgetExceededError(total, CELL_LIMIT, what="relation enumeration")
     shape = (3,) * rel.n
     keep = np.empty(total, dtype=bool)
     for start in range(0, total, CHUNK):
@@ -265,29 +265,30 @@ def invariance_counterexample(
     fn: MonotoneFn, rel: Relation, config: SearchConfig = DEFAULT_CONFIG
 ) -> InvarianceWitness | None:
     """Exhaustive search over all |R|^k row selections; None means
-    invariant.  Raises BudgetExceededError before touching a search
-    whose state count, or whose relation's 3^n tuples, are above the
-    budget; a basic relation's state count is known before enumerating
-    it, so that check comes first.  A count above INDEX_LIMIT is refused
-    whatever the budget, as no int64 index can number it, and so is a
-    function table of more than CELL_LIMIT cells.  Each count comes from
-    `errors.power_count`, so one of more than 4,300 digits (a large n or
-    k) is refused by its logarithm, without computing the power.
+    invariant.  Raises BudgetExceededError, naming `config.budget`,
+    before touching a search whose state count, or whose relation's 3^n
+    tuples, are above it; a basic relation's state count is known before
+    enumerating it, so that check comes first.  Within the budget, a
+    count above INDEX_LIMIT (no int64 index numbers it) and a listing or
+    table above the cell cap (`check_cells`) raise BoundExceededError.
+    Each count comes from `errors.power_count`, so one of more than 4,300
+    digits (a large n or k) is refused by its logarithm, uncomputed.
 
     The gate runs on every call; the search behind it does not read the
     budget and is memoized per (fn, rel)."""
 
-    def refuse(required: int | str, limit: int, what: str) -> None:
-        if exceeds(required, limit):
-            raise BudgetExceededError(required, limit, what=what)
+    def refuse(required: int | str, what: str) -> None:
+        if exceeds(required, config.budget):
+            raise BudgetExceededError(required, config.budget, what=what)
+        if exceeds(required, INDEX_LIMIT):
+            raise BoundExceededError(f"{what} needs {state_figure(required)} states, above 2^63")
 
     k = fn.arity
-    limit = min(config.budget, INDEX_LIMIT)
     if isinstance(rel, PreseqRel):
-        refuse(basic_members(rel, k), limit, "invariance check")
-    refuse(power_count((3, rel.n)), limit, "relation enumeration")
-    refuse(power_count((len(member_matrix(rel)), k)), limit, "invariance check")
-    refuse(power_count((3, k)), CELL_LIMIT, "function table")
+        refuse(basic_members(rel, k), "invariance check")
+    refuse(power_count((3, rel.n)), "relation enumeration")
+    refuse(power_count((len(member_matrix(rel)), k)), "invariance check")
+    check_cells(k, "function table")
     return _first_counterexample(fn, rel)
 
 
@@ -429,11 +430,8 @@ def find_separating_relation(
         states = basic_members(rel, right.arity)
         try:
             invariant = is_invariant(right, rel, config)
-        except BudgetExceededError as exc:
-            skipped.append(
-                f"{rel}: invariant side needs {state_figure(exc.required)} states "
-                f"(budget {config.budget}), justified by level instead"
-            )
+        except (BudgetExceededError, BoundExceededError) as exc:
+            skipped.append(f"{rel}: invariant side skipped ({exc}), justified by level instead")
             method = "level"
         else:
             if not invariant:
@@ -453,7 +451,7 @@ def find_separating_relation(
             if right_side is not None:
                 continue
             witness = invariance_counterexample(left, rel, config)
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, BoundExceededError) as exc:
             skipped.append(f"{rel}: skipped ({exc})")
             continue
         if witness is not None:

@@ -19,7 +19,7 @@ import itertools
 from .config import DEFAULT_CONFIG, SearchConfig
 from .definability import MAPPING_BOUND, bm_search, cofinal_witness, compare
 from .errors import AnalysisError
-from .functions import MonotoneFn, fn_sum, is_m_sequential, is_stable, neg
+from .functions import MonotoneFn, fn_sum, is_m_sequential, neg
 from .plevels import (
     INF,
     PLevel,
@@ -81,7 +81,7 @@ SUM_PAIRS: list[tuple[str, str]] = [
 ]
 
 
-def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_plevels() -> list[CheckResult]:
     out: list[CheckResult] = []
     for name, i, j in GOLDEN_LEVELS:
         fn = make(name)
@@ -121,13 +121,13 @@ def suite_plevels(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     for fn in catalog(max_arity=5):
         same = p_level(neg(fn)) == p_level(fn)
         out.append(CheckResult(f"negation keeps level[{fn.name}]", same))
-    out.extend(verify_zoo_invariants(config))
+    out.extend(verify_zoo_invariants())
     # cofinal construction on stable non-sequential catalog functions
     # whose source gustave_i(cc) fits the mapping bound; the construction
     # raises SoundnessError itself when its mapping fails check_bm
     for fn in catalog():
         c = cc(fn)
-        if is_stable(fn) and c != INF and gustave(c).trace_size <= MAPPING_BOUND:
+        if fn.stable and c != INF and gustave(c).trace_size <= MAPPING_BOUND:
             index, _ = cofinal_witness(fn)
             name = f"cofinal mapping gustave_i({index}) -> {fn.name}"
             out.append(CheckResult(name, index == c, f"index {index}, cc {c}"))
@@ -145,7 +145,7 @@ CYCLIC_MATRIX_2 = {
 }
 
 
-def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def verify_zoo_invariants() -> list[CheckResult]:
     """Self-test of every family against its stated trace shape,
     coefficient and stability, beyond the levels GOLDEN_LEVELS checks;
     failures are carried in the report."""
@@ -176,21 +176,20 @@ def verify_zoo_invariants(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckRe
             f"gustave_i({i}) trace size and coefficient",
             g.trace_size == 2 * i + 1 and cc(g) == 2 * i + 1,
         )
-        check(f"gustave_i({i}) stable and monovalued",
-              is_stable(g) and len(set(g.outputs)) == 1)
+        check(f"gustave_i({i}) stable and monovalued", g.stable and len(set(g.outputs)) == 1)
         for j in range(1, i + 1):
-            check(f"bg({i},{j}) stable", is_stable(bivalued_gustave(i, j)))
+            check(f"bg({i},{j}) stable", bivalued_gustave(i, j).stable)
 
     for i in range(2, 7):
-        check(f"por_i({i}) unstable", not is_stable(por(i)))
+        check(f"por_i({i}) unstable", not por(i).stable)
 
-    check("bp stable", is_stable(bp()))
+    check("bp stable", bp().stable)
     for fn in (det(), ttdet()):
-        check(f"{fn.name} unstable", not is_stable(fn))
+        check(f"{fn.name} unstable", not fn.stable)
     check(
         "detector variants mutually definable by trace mappings",
-        bm_search(det(), ttdet(), config) is not None
-        and bm_search(ttdet(), det(), config) is not None,
+        bm_search(det(), ttdet()) is not None
+        and bm_search(ttdet(), det()) is not None,
     )
     return results
 
@@ -201,7 +200,7 @@ def _canonical_relations() -> list[PreseqRel]:
     return rels
 
 
-def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_lemmas() -> list[CheckResult]:
     out: list[CheckResult] = []
 
     # exact level criterion against brute force, over every monotone
@@ -214,7 +213,7 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
             level = p_level(fn)
             for rel in rels:
                 total += 1
-                if predict_invariant(level, rel) != is_invariant(fn, rel, config):
+                if predict_invariant(level, rel) != is_invariant(fn, rel):
                     mismatches += 1
     out.append(
         CheckResult(
@@ -238,9 +237,7 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
                         canon = canonicalize(rel)
                         for fn in small:
                             pairs_checked += 1
-                            if is_invariant(fn, rel, config) != is_invariant(
-                                fn, canon, config
-                            ):
+                            if is_invariant(fn, rel) != is_invariant(fn, canon):
                                 pairs_bad += 1
     out.append(
         CheckResult(
@@ -254,10 +251,10 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     closure_bad = []
     for fn in small:
         for m in range(0, 4):
-            strict_hi = is_invariant(fn, canonical_strict(m), config)
-            eq_m = is_invariant(fn, canonical_equal(m), config) if m >= 1 else True
-            eq_hi = is_invariant(fn, canonical_equal(m + 1), config)
-            strict_next = is_invariant(fn, canonical_strict(m + 1), config)
+            strict_hi = is_invariant(fn, canonical_strict(m))
+            eq_m = is_invariant(fn, canonical_equal(m)) if m >= 1 else True
+            eq_hi = is_invariant(fn, canonical_equal(m + 1))
+            strict_next = is_invariant(fn, canonical_strict(m + 1))
             if strict_hi and m >= 1 and not eq_m:
                 closure_bad.append((fn.name, m, 1))
             if eq_hi and m >= 1 and not eq_m:
@@ -293,14 +290,14 @@ def suite_lemmas(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_hierarchies() -> list[CheckResult]:
     out: list[CheckResult] = []
 
     for family, builder in (("gustave_i", gustave), ("bg", lambda i: bivalued_gustave(i, 1))):
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 low, high = builder(i), builder(j)
-                found = find_separating_relation(low, high, config).found
+                found = find_separating_relation(low, high).found
                 # the level fast path flags the pair too, and an invariant
                 # side not brute-forced is one whose cost is over budget
                 ok = (
@@ -310,7 +307,7 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
                     in inexpressible_by_plevel(low, high)
                     and (
                         found.invariant_method == "brute"
-                        or found.invariant_states > config.budget
+                        or found.invariant_states > DEFAULT_CONFIG.budget
                     )
                 )
                 detail = "" if ok else "no verified separator"
@@ -322,7 +319,7 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
     for builder in (gustave, lambda i: bivalued_gustave(i, 1)):
         for i in range(1, 4):
             for j in range(i, 4):
-                ok = bm_search(builder(j), builder(i), config) is not None
+                ok = bm_search(builder(j), builder(i)) is not None
                 out.append(
                     CheckResult(
                         f"{builder(j).name} definable from {builder(i).name}", ok
@@ -333,8 +330,8 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
     rel = chain_relation(3)
     f2 = fn_sum(bp(), por(2))
     f3 = fn_sum(bp(), por(3))
-    inv3 = is_invariant(f3, rel, config)
-    wit2 = invariance_counterexample(f2, rel, config)
+    inv3 = is_invariant(f3, rel)
+    wit2 = invariance_counterexample(f2, rel)
     out.append(CheckResult("bp+por_i(3) respects the arity-3 chain relation", inv3))
     out.append(
         CheckResult(
@@ -344,8 +341,8 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
     )
 
     # a missing mapping must never become a negative claim
-    no_map = bm_search(por(3), por(2), config) is None
-    verdict = compare(por(3), por(2), config)
+    no_map = bm_search(por(3), por(2)) is None
+    verdict = compare(por(3), por(2))
     out.append(
         CheckResult(
             "no mapping por_i(3) -> por_i(2); comparison stays unknown",
@@ -356,8 +353,8 @@ def suite_hierarchies(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult
     return out
 
 
-def suite_terms(config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
-    cfg = dataclasses.replace(config, table_bound=max(config.table_bound, 7))
+def suite_terms() -> list[CheckResult]:
+    cfg = SearchConfig(table_bound=7)  # bg_rotation_terms(3) has arity 7
     out: list[CheckResult] = []
     for i in (2, 3, 4):
         got = eval_term(por_step_term(i), por(i), cfg)
@@ -401,10 +398,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, config: SearchConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        return [r for suite in SUITES.values() for r in suite(config)]
+        return [r for suite in SUITES.values() for r in suite()]
     if name not in SUITES:
         *first, last = ["all", *SUITES]
         raise AnalysisError(f"unknown suite {name!r} (want {', '.join(first)} or {last})")
-    return SUITES[name](config)
+    return SUITES[name]()

@@ -24,16 +24,12 @@ from .errors import (
     FormatError,
     InapplicableError,
     TermArityError,
-    exceeds,
-    power_count,
 )
 from .functions import (
-    CELL_LIMIT,
-    INDEX_LIMIT,
     MonotoneFn,
+    check_cells,
     check_nesting,
     entry,
-    is_monovalued,
     read_header,
     read_number,
     table_of,
@@ -95,18 +91,16 @@ def eval_term(
     their table up at the codes the argument columns spell.  Rebuilding
     the trace from the root column re-checks monotonicity rather than
     assuming it.  Each table built, the term's, the oracle's and each
-    alleq's, is bounded by `table_bound` and by CELL_LIMIT cells.  The
-    one pre-order walk that builds the columns also checks the term:
-    each variable's index, each application's symbol and argument
-    count, and an alleq's bound before its function is built."""
+    alleq's, is bounded by `table_bound` and then by the cell cap
+    (`functions.check_cells`).  The one pre-order walk that builds the
+    columns also checks the term: each variable's index, each
+    application's symbol and argument count, and an alleq's bound before
+    it is built."""
 
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
             raise BoundExceededError(f"{what} above table bound {config.table_bound}")
-        cells = power_count((3, width))
-        if exceeds(cells, CELL_LIMIT):
-            cap = "2^63" if exceeds(cells, INDEX_LIMIT) else f"cell cap {CELL_LIMIT}"
-            raise BoundExceededError(f"{what} needs 3^{width} table cells, above {cap}")
+        check_cells(width, what)
 
     k = term.arity
     check_table(k, f"term arity {k}")
@@ -223,7 +217,7 @@ def mono_to_det_term(fn: MonotoneFn) -> Term:
     left-strict conjunction of literals over the row's defined
     coordinates.  Functions that always return false are wrapped in a
     strict negation."""
-    if not is_monovalued(fn):
+    if len(set(fn.outputs)) != 1:
         raise InapplicableError("construction applies to monovalued functions only")
     matchers = []
     for e in fn.entries:

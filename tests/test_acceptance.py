@@ -35,7 +35,7 @@ def done(n: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def lemmas():
-    rows = suite_lemmas(CFG)
+    rows = suite_lemmas()
     assert len(rows) == 4
     return rows
 
@@ -43,14 +43,14 @@ def lemmas():
 @pytest.fixture(scope="module")
 def hierarchies():
     start = time.time()
-    rows = suite_hierarchies(CFG)
+    rows = suite_hierarchies()
     assert len(rows) == 27
     return rows, time.time() - start
 
 
 @pytest.fixture(scope="module")
 def terms():
-    rows = suite_terms(CFG)
+    rows = suite_terms()
     assert len(rows) == 9
     return rows
 

@@ -177,7 +177,7 @@ def test_long_number_is_a_format_error(capsys, tmp_path, argv, text, line):
         (["compare", "{file}", "zoo:bp"], "arity 100000000\n", 0, None),
         (["term", "{file}", "--oracle", "zoo:ttdet", "--table-bound", "100000000"],
          "arity 100000000\n(g x1)\n", 3,
-         "term arity 100000000 needs 3^100000000 table cells, above 2^63"),
+         "term arity 100000000 needs 3^100000000 cells, above cell cap 100000000"),
     ],
     ids=["relation-arity", "function-arity", "composite-arity", "compare", "term-arity"],
 )
@@ -410,12 +410,13 @@ def test_term_command(capsys, tmp_path):
     [
         # an arity-40 oracle over the default table bound
         (1, "{wide}", [], "oracle arity 40 above table bound 6"),
-        # 3^40 cells are more than an int64 index numbers, whatever the bound
+        # 3^40 cells, more than an int64 index numbers, are above the cell
+        # cap first: one cap text whatever the bound
         (40, "zoo:ttdet", ["--table-bound", "40"],
-         "term arity 40 needs 3^40 table cells, above 2^63"),
+         "term arity 40 needs 3^40 cells, above cell cap 100000000"),
         # 3^30 cells would take 5.49 PiB of int64 codes: above the fixed cell cap
         (30, "zoo:ttdet", ["--table-bound", "30"],
-         "term arity 30 needs 3^30 table cells, above cell cap 100000000"),
+         "term arity 30 needs 3^30 cells, above cell cap 100000000"),
     ],
     ids=["oracle-over-bound", "term-above-int64", "term-above-cell-cap"],
 )
@@ -441,9 +442,12 @@ def test_oversized_table_is_input_error(capsys, tmp_path, arity, oracle, flags, 
         ["invariance", "zoo:bp", "--relation", "preseq n=3 A=1 B=1,2", "--max-rel-arity", "3"],
         ["compare", "zoo:bp", "zoo:ttdet", "--max-rel-arity", "5"],
         ["verify", "plevels", "--max-rel-arity", "5"],
+        # verify runs each suite at its own fixed settings
+        ["verify", "plevels", "--budget", "5"],
+        ["verify", "plevels", "--table-bound", "5"],
     ],
     ids=["term-json", "invariance-max-rel-arity", "compare-max-rel-arity",
-         "verify-max-rel-arity"],
+         "verify-max-rel-arity", "verify-budget", "verify-table-bound"],
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
     termfile = tmp_path / "t.term"
@@ -533,9 +537,10 @@ def test_huge_state_count_is_a_budget_error(capsys):
         ("bp", "seqrel n=40 {A=1 B=1,2}", "relation enumeration", 3**40),
     ],
 )
-def test_count_above_int64_is_a_budget_error(capsys, name, relation, what, states):
+def test_count_above_int64_is_a_bound_error(capsys, name, relation, what, states):
     """No int64 index numbers more than 2^63 selections or tuple codes,
-    so such a search is refused up front, whatever the budget."""
+    so such a search is refused up front, whatever the budget: a fixed
+    limit, exit 3, named in the message."""
     assert states > 2**63
     start = time.perf_counter()
     code, _, err = run(
@@ -543,40 +548,40 @@ def test_count_above_int64_is_a_budget_error(capsys, name, relation, what, state
         "--budget", "1000000000000000000000",
     )
     assert time.perf_counter() - start < 2
-    assert code == 4
-    assert err == f"error: {what} needs {states} states, budget allows {2**63}\n"
+    assert code == 3
+    assert err == f"error: {what} needs {states} states, above 2^63\n"
 
 
-def test_listing_above_cell_cap_is_a_budget_error(capsys):
+def test_listing_above_cell_cap_is_a_bound_error(capsys):
     """S^30 with A = B = {} holds all 3^30 tuples, under the raised budget
     for a unary function, but listing them would take 187 TiB: the fixed
-    cell cap refuses it whatever the budget."""
+    cell cap refuses it whatever the budget, exit 3."""
     start = time.perf_counter()
     code, _, err = run(
         capsys, "invariance", "zoo:ntdet(1)", "--relation", "preseq n=30 A= B=",
         "--budget", "1000000000000000",
     )
     assert time.perf_counter() - start < 2
-    assert code == 4
-    assert err == f"error: relation enumeration needs {3**30} states, budget allows {10**8}\n"
+    assert code == 3
+    assert err == "error: relation enumeration needs 3^30 cells, above cell cap 100000000\n"
 
 
-def test_function_table_above_cell_cap_is_a_budget_error(capsys, tmp_path):
+def test_function_table_above_cell_cap_is_a_bound_error(capsys, tmp_path):
     """A 25-ary function under S^1 with A = B = {} (3 members) needs 3^25
     states, under the raised budget, but its table would take 789 GiB:
-    the fixed cell cap refuses it whatever the budget, and `compare`
-    skips such a relation with that note."""
+    the fixed cell cap refuses it whatever the budget, exit 3, and
+    `compare` skips such a relation with that note."""
     trace = tmp_path / "big25.trace"
     trace.write_text(f"arity 25\nT{'_' * 24} -> T\n")
     relations = tmp_path / "one.rel"
     relations.write_text("preseq n=1 A= B=\n")
-    refusal = f"function table needs {3**25} states, budget allows {10**8}"
+    refusal = "function table needs 3^25 cells, above cell cap 100000000"
     start = time.perf_counter()
     code, _, err = run(
         capsys, "invariance", str(trace), "--relation", "preseq n=1 A= B=",
         "--budget", "1000000000000",
     )
-    assert code == 4
+    assert code == 3
     assert err == f"error: {refusal}\n"
     code, out, err = run(
         capsys, "compare", "zoo:bp", str(trace), "--relations", str(relations),
@@ -585,6 +590,37 @@ def test_function_table_above_cell_cap_is_a_budget_error(capsys, tmp_path):
     assert time.perf_counter() - start < 2
     assert code == 0 and "Traceback" not in err
     assert f"preseq n=1 A= B=: skipped ({refusal})" in json.loads(out)["notes"]
+
+
+def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
+    """Under a budget of 10^30, the arity-17 right side's invariance
+    under S^3_{3,3} needs about 3.0e22 states, within the budget but past
+    what an int64 index numbers, and its table under the chain relation
+    needs 3^17 cells, above the cell cap: both skip notes quote the
+    fixed limit, and the verdict and certificates stand."""
+    trace = tmp_path / "t17.trace"
+    trace.write_text(f"arity 17\nT{'_' * 16} -> T\n")
+    code, out, err = run(
+        capsys, "compare", "zoo:por_i(2)", str(trace), "--json",
+        "--budget", "1000000000000000000000000000000",
+    )
+    assert code == 0 and err == ""
+    verdict = json.loads(out)
+    assert verdict["relation"] == "right_below_strict"
+    [mapping, separation] = verdict["evidence"]
+    assert mapping["kind"] == "bm_mapping" and mapping["verified"]
+    assert mapping["payload"]["mapping"] == [["T________________ -> T", "_T -> T"]]
+    assert separation["kind"] == "separation" and separation["verified"]
+    assert separation["payload"]["relation"] == "preseq n=3 A=1,2,3 B=1,2,3"
+    assert separation["payload"]["invariant_side"] == {
+        "function": "t17", "method": "level", "states": 30041942495081691894741
+    }
+    assert verdict["notes"] == [
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check needs "
+        "30041942495081691894741 states, above 2^63), justified by level instead",
+        "seqrel n=2 {A=1,2 B=1,2}: skipped (function table needs 3^17 cells, "
+        "above cell cap 100000000)",
+    ]
 
 
 def test_compare_reports_huge_state_count(capsys, tmp_path):
@@ -604,8 +640,8 @@ def test_compare_reports_huge_state_count(capsys, tmp_path):
     assert code == 2
     assert "Traceback" not in err
     note = (
-        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs ~10^6611 states "
-        "(budget 100000000), justified by level instead"
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check "
+        "needs ~10^6611 states, budget allows 100000000), justified by level instead"
     )
     assert note in json.loads(out)["notes"]
     [cert] = json.loads(cert_path.read_text())

@@ -208,8 +208,8 @@ def test_term_route_refuses_a_source_above_the_table_bound(monkeypatch):
     assert verdict.relation == "unknown"
     assert [c.kind for c in verdict.evidence] == ["separation"]
     assert verdict.notes == (
-        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs 37822859361 states "
-        "(budget 100000000), justified by level instead",
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check needs "
+        "37822859361 states, budget allows 100000000), justified by level instead",
         "right not below left established; other direction open",
     )
     verdict = compare(zoo.por(5), zoo.por(2), allow_terms=True)
@@ -232,7 +232,7 @@ def test_term_route_over_the_cell_cap_is_a_note():
     assert [c.kind for c in verdict.evidence] == ["separation"]
     assert (
         "term route por_i(17) -> por_i(16) skipped (term arity 17 needs 3^17 "
-        "table cells, above cell cap 100000000)"
+        "cells, above cell cap 100000000)"
     ) in verdict.notes
 
 

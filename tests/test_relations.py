@@ -11,13 +11,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parlevel.relations as relations
 
 from parlevel import (
     ArityMismatchError,
+    BoundExceededError,
     BudgetExceededError,
     DEFAULT_CONFIG,
     FormatError,
@@ -380,8 +381,8 @@ def test_level_route_counts_states_without_enumerating():
             "needs 1792160394037 states, budget allows 100000000)",
             "mapping search gustave_i(6) -> gustave_i(5) skipped (mapping search "
             "needs 34522712143931 states, budget allows 100000000)",
-            f"{strict}: invariant side needs {states} states (budget 100000000), "
-            "justified by level instead",
+            f"{strict}: invariant side skipped (invariance check needs {states} states, "
+            "budget allows 100000000), justified by level instead",
         ] + [
             f"{chain_relation(j)}: skipped (invariance check needs {needed} states, "
             "budget allows 100000000)"
@@ -404,11 +405,49 @@ def test_relation_enumeration_over_budget_raises_at_once():
     assert exc.value.allowed == DEFAULT_CONFIG.budget
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    budget=st.sampled_from([10**9, 10**12, 10**21, 10**30]),
+    k=st.integers(1, 40),
+    # a listing of 3^9 to 3^16 tuples would run for seconds: n is small
+    # enough to list at once or large enough to be refused before listing
+    n=st.one_of(st.integers(1, 8), st.integers(17, 45)),
+    sizes=st.tuples(st.integers(0, 45), st.integers(0, 45)),
+)
+@example(budget=10**21, k=1, n=30, sizes=(0, 0))  # listing above the cell cap
+@example(budget=10**21, k=3, n=14, sizes=(0, 0))  # 3^42 states, above 2^63
+@example(budget=10**12, k=25, n=1, sizes=(0, 0))  # function table above the cell cap
+@example(budget=10**9, k=2, n=3, sizes=(3, 3))  # searched
+def test_each_limit_is_refused_by_its_own_rule(budget, k, n, sizes):
+    """A count above the given budget is a budget error naming that
+    budget; within the budget, a listing or table of more than 10^8
+    cells, or more than 2^63 states, is a bound error naming the fixed
+    limit."""
+    a, b = sorted(min(size, n) for size in sizes)
+    relation = rel(n, range(1, a + 1), range(1, b + 1))
+    fn = zoo.ntdet(k)
+    states = basic_members(relation, k)
+    over_budget = states > budget or 3**n > budget and states <= 2**63
+    over_cap = states > 2**63 or 3**n > 10**8 or 3**k > 10**8
+    assume(over_budget or over_cap or states <= 10**5)
+    config = dataclasses.replace(DEFAULT_CONFIG, budget=budget)
+    try:
+        invariance_counterexample(fn, relation, config)
+    except BudgetExceededError as exc:
+        assert over_budget
+        assert exc.allowed == budget and exc.required > budget
+    except BoundExceededError as exc:
+        assert over_cap and not over_budget
+        assert str(exc).endswith(("above 2^63", "above cell cap 100000000"))
+    else:
+        assert not over_budget and not over_cap
+
+
 def test_level_route_needs_the_relation_listed_within_budget():
     """With budget 25, S^3_{3,3} has 21 members, few enough for a unary
     right side, but listing them walks 27 tuples: the invariant side
     rests on the level instead of failing the search, and the note
-    gives the 27 the budget refused."""
+    quotes the refusal of that listing."""
     unary = zoo.make("ntdet(1)")
     small = dataclasses.replace(DEFAULT_CONFIG, budget=25)
     outcome = find_separating_relation(zoo.bp(), unary, small)
@@ -417,8 +456,8 @@ def test_level_route_needs_the_relation_listed_within_budget():
     assert (found.invariant_method, found.invariant_states) == ("level", 21)
     assert found.witness.verify(zoo.bp())
     assert outcome.skipped == (
-        "preseq n=3 A=1,2,3 B=1,2,3: invariant side needs 27 states "
-        "(budget 25), justified by level instead",
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (relation enumeration "
+        "needs 27 states, budget allows 25), justified by level instead",
     )
 
 
