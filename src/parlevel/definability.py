@@ -35,6 +35,7 @@ from .relations import (
     Separation,
     find_separating_relation,
     format_relation,
+    inexpressible_by_plevel,
 )
 from .terms import (
     bg_rotation_terms, eval_term, format_term, inline_oracle, oracle_calls, por_step_term
@@ -324,17 +325,23 @@ def compare(
     allow_terms: bool = False,
     extra_relations: tuple[Relation, ...] = (),
 ) -> CompareVerdict:
-    """Run both positive and both negative searches and combine them
-    into the strongest sound verdict.  Absence of a mapping is never
-    converted into a negative claim; budget exhaustion degrades to
-    "unknown" with a note."""
+    """Run both negative searches, and the positive searches of each
+    direction the levels do not refute, and combine them into the
+    strongest sound verdict.  Absence of a mapping is never converted
+    into a negative claim; budget exhaustion degrades to "unknown" with
+    a note."""
     # the separator searches read both levels, so they run first: an
     # input past the coherence bound is refused before any mapping search
     neg_lr_out = find_separating_relation(f, g, config, extra_relations)
     neg_rl_out = find_separating_relation(g, f, config, extra_relations)
+    # a mapping would prove definability, which a level separator refutes
+    refuted = inexpressible_by_plevel(f, g)
     notes: list[str] = []
-    pos_lr = _positive(f, g, config, allow_terms, notes)
-    pos_rl = _positive(g, f, config, allow_terms, notes)
+    pos_lr = pos_rl = None
+    if "left_not_below_right" not in refuted:
+        pos_lr = _positive(f, g, config, allow_terms, notes)
+    if "right_not_below_left" not in refuted:
+        pos_rl = _positive(g, f, config, allow_terms, notes)
     notes.extend(neg_lr_out.skipped)
     notes.extend(neg_rl_out.skipped)
 

@@ -270,7 +270,9 @@ def invariance_counterexample(
     tuples, are above it; a basic relation's state count is known before
     enumerating it, so that check comes first.  Within the budget, a
     count above INDEX_LIMIT (no int64 index numbers it) and a listing or
-    table above the cell cap (`check_cells`) raise BoundExceededError.
+    table above the cell cap (`check_cells`) raise BoundExceededError;
+    the table's check reads only the arity, so it comes before the
+    listing.
     Each count comes from `errors.power_count`, so one of more than 4,300
     digits (a large n or k) is refused by its logarithm, uncomputed.
 
@@ -287,8 +289,8 @@ def invariance_counterexample(
     if isinstance(rel, PreseqRel):
         refuse(basic_members(rel, k), "invariance check")
     refuse(power_count((3, rel.n)), "relation enumeration")
-    refuse(power_count((len(member_matrix(rel)), k)), "invariance check")
     check_cells(k, "function table")
+    refuse(power_count((len(member_matrix(rel)), k)), "invariance check")
     return _first_counterexample(fn, rel)
 
 
@@ -415,11 +417,15 @@ def find_separating_relation(
     Tried in order: the canonical relation the level comparison
     predicts to separate; the chain relations of arity 2 to CHAIN_ARITY;
     then any user-supplied relations, which is where a wider relation
-    goes.  A None outcome only means "no separator found within bounds"
-    and never implies definability.
+    goes.  A pool relation is not searched when the left function
+    respects each of its conjuncts by level (`predict_invariant`): the
+    relations a function respects are closed under intersection, so it
+    has no left witness.  A None outcome only means "no separator found
+    within bounds" and never implies definability.
     """
     skipped: list[str] = []
-    rel = _level_separator(p_level(left), p_level(right))
+    level = p_level(left)
+    rel = _level_separator(level, p_level(right))
     if rel is not None:
         witness = constructed_witness(left, rel)
         if witness is None:
@@ -446,6 +452,9 @@ def find_separating_relation(
 
     chain_pool: list[Relation] = [chain_relation(j) for j in range(2, CHAIN_ARITY + 1)]
     for rel in chain_pool + list(extra_relations):
+        conjuncts = rel.conjuncts if isinstance(rel, SeqRel) else (rel,)
+        if all(predict_invariant(level, c) for c in conjuncts):
+            continue
         try:
             right_side = invariance_counterexample(right, rel, config)
             if right_side is not None:

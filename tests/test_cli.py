@@ -566,15 +566,23 @@ def test_listing_above_cell_cap_is_a_bound_error(capsys):
     assert err == "error: relation enumeration needs 3^30 cells, above cell cap 100000000\n"
 
 
+def padded_bp(path: Path, arity: int) -> Path:
+    """bp's trace with arity - 3 dummy arguments: bp's level, a wider table."""
+    pad = "_" * (arity - 3)
+    path.write_text(f"arity {arity}\n_TF{pad} -> T\nTF_{pad} -> F\nF_T{pad} -> F\n")
+    return path
+
+
 def test_function_table_above_cell_cap_is_a_bound_error(capsys, tmp_path):
     """A 25-ary function under S^1 with A = B = {} (3 members) needs 3^25
     states, under the raised budget, but its table would take 789 GiB:
     the fixed cell cap refuses it whatever the budget, exit 3, and
-    `compare` skips such a relation with that note."""
+    `compare` skips such a relation with that note.  bp padded to arity
+    25 has bp's level, so the chain relations bp's level does not
+    predict are searched, on the padded side too."""
     trace = tmp_path / "big25.trace"
     trace.write_text(f"arity 25\nT{'_' * 24} -> T\n")
-    relations = tmp_path / "one.rel"
-    relations.write_text("preseq n=1 A= B=\n")
+    bp25 = padded_bp(tmp_path / "bp25.trace", 25)
     refusal = "function table needs 3^25 cells, above cell cap 100000000"
     start = time.perf_counter()
     code, _, err = run(
@@ -584,20 +592,37 @@ def test_function_table_above_cell_cap_is_a_bound_error(capsys, tmp_path):
     assert code == 3
     assert err == f"error: {refusal}\n"
     code, out, err = run(
-        capsys, "compare", "zoo:bp", str(trace), "--relations", str(relations),
-        "--budget", "1000000000000", "--json",
+        capsys, "compare", "zoo:bp", str(bp25), "--budget", "1000000000000", "--json",
     )
     assert time.perf_counter() - start < 2
     assert code == 0 and "Traceback" not in err
-    assert f"preseq n=1 A= B=: skipped ({refusal})" in json.loads(out)["notes"]
+    chain3 = "seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}"
+    assert f"{chain3}: skipped ({refusal})" in json.loads(out)["notes"]
+
+
+def test_function_table_is_refused_before_the_relation_is_listed(capsys, tmp_path):
+    """The table cap reads only the function's arity, so an arity-17
+    function is refused before the 3^16 tuples of S^16 with A = {} are
+    walked for their three members."""
+    trace = tmp_path / "t17.trace"
+    trace.write_text(f"arity 17\nT{'_' * 16} -> T\n")
+    wide = "seqrel n=16 {A= B=%s}" % ",".join(map(str, range(1, 17)))
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "invariance", str(trace), "--relation", wide, "--budget", "1000000000",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert err == "error: function table needs 3^17 cells, above cell cap 100000000\n"
 
 
 def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
     """Under a budget of 10^30, the arity-17 right side's invariance
     under S^3_{3,3} needs about 3.0e22 states, within the budget but past
-    what an int64 index numbers, and its table under the chain relation
-    needs 3^17 cells, above the cell cap: both skip notes quote the
-    fixed limit, and the verdict and certificates stand."""
+    what an int64 index numbers, and bp padded to arity 17 needs a 3^17
+    cell table under the chain relations, above the cell cap: both kinds
+    of skip note quote the fixed limit, and the verdicts and
+    certificates stand."""
     trace = tmp_path / "t17.trace"
     trace.write_text(f"arity 17\nT{'_' * 16} -> T\n")
     code, out, err = run(
@@ -618,8 +643,23 @@ def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
     assert verdict["notes"] == [
         "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check needs "
         "30041942495081691894741 states, above 2^63), justified by level instead",
-        "seqrel n=2 {A=1,2 B=1,2}: skipped (function table needs 3^17 cells, "
-        "above cell cap 100000000)",
+    ]
+    # t17 respects every pool relation by level; bp padded to arity 17 does not
+    code, out, err = run(
+        capsys, "compare", "zoo:bp", str(padded_bp(tmp_path / "bp17.trace", 17)), "--json",
+        "--budget", "1000000000000000000000000000000",
+    )
+    assert code == 0 and err == ""
+    verdict = json.loads(out)
+    assert verdict["relation"] == "equiparallel"
+    assert verdict["notes"] == 2 * [
+        f"{chain}: skipped (function table needs 3^17 cells, above cell cap 100000000)"
+        for chain in (
+            "seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}",
+            "seqrel n=4 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3} {A=1,2,3,4 B=1,2,3,4}",
+            "seqrel n=5 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3} {A=1,2,3,4 B=1,2,3,4} "
+            "{A=1,2,3,4,5 B=1,2,3,4,5}",
+        )
     ]
 
 

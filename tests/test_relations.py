@@ -377,19 +377,12 @@ def test_level_route_counts_states_without_enumerating():
             }
         ],
         "notes": [
-            "mapping search gustave_i(5) -> gustave_i(6) skipped (mapping search "
-            "needs 1792160394037 states, budget allows 100000000)",
             "mapping search gustave_i(6) -> gustave_i(5) skipped (mapping search "
             "needs 34522712143931 states, budget allows 100000000)",
             f"{strict}: invariant side skipped (invariance check needs {states} states, "
             "budget allows 100000000), justified by level instead",
-        ] + [
-            f"{chain_relation(j)}: skipped (invariance check needs {needed} states, "
-            "budget allows 100000000)"
-            for j, needed in ((2, 1977326743), (3, 116490258898219),
-                              (4, 13931233916552734375),
-                              (5, 2158060662623960090407387))
-        ] + ["left not below right established; other direction open"],
+            "left not below right established; other direction open",
+        ],
     }
 
 
@@ -549,6 +542,77 @@ def test_find_separating_relation_chain_route():
     assert isinstance(out.found.relation, SeqRel)
     assert out.found.relation == chain_relation(3)
     assert out.found.witness.verify(f2)
+
+
+@st.composite
+def small_seqrels(draw):
+    """An intersection of one to three basic relations of one arity <= 4,
+    or, a third of the time, its first conjunct alone."""
+    n = draw(st.integers(1, 4))
+    conjuncts = draw(st.lists(basic_relations(n), min_size=1, max_size=3))
+    return conjuncts[0] if draw(st.integers(0, 2)) == 0 else SeqRel(tuple(conjuncts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(random_traces(arities=(1, 2, 3)), st.sampled_from(zoo.catalog(max_arity=3))),
+    small_seqrels(),
+)
+def test_pool_skips_exactly_the_relations_the_level_proves(fn, relation):
+    """With fn on both sides there is no level separator, so the pool
+    loop searches the drawn relation unless it prunes it.  It prunes it
+    exactly when the level predicts every conjunct invariant, and then
+    the search, run with the memo cleared, finds no counterexample: the
+    respected relations are closed under intersection."""
+    searched = []
+
+    def recording(fn, rel, config=DEFAULT_CONFIG):
+        searched.append(rel)
+        return invariance_counterexample(fn, rel, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "invariance_counterexample", recording)
+        assert find_separating_relation(fn, fn, extra_relations=[relation]).found is None
+    proved = all(relations.predict_invariant(p_level(fn), c) for c in conjuncts_of(relation))
+    assert (relation not in searched) == proved
+    if proved:
+        relations._first_counterexample.cache_clear()
+        assert relations._first_counterexample(fn, relation) is None
+
+
+def unpruned_pool_separator(left, right) -> relations.Separation | None:
+    """The chain-pool loop of `find_separating_relation` without the
+    level prune: the first chain relation the right function respects
+    and the left one breaks."""
+    for r in [chain_relation(j) for j in range(2, relations.CHAIN_ARITY + 1)]:
+        try:
+            if invariance_counterexample(right, r) is not None:
+                continue
+            witness = invariance_counterexample(left, r)
+        except (BudgetExceededError, BoundExceededError):
+            continue
+        if witness is not None:
+            return relations.Separation(r, witness, "brute", len(member_matrix(r)) ** right.arity)
+    return None
+
+
+def test_level_prune_keeps_every_catalog_separator():
+    """On every ordered catalog pair the levels do not separate, the
+    pruned pool finds the separator, with its witness, that the unpruned
+    pool finds.  No two of these catalog functions are told apart by a
+    chain relation, so the degree table's bp+ttdet joins them: chain3
+    separates por_i(2) from it and chain4 por_i(3), whose level proves
+    chain3."""
+    fns = zoo.catalog(max_arity=3) + [fn_sum(zoo.bp(), zoo.ttdet())]
+    pooled, found = 0, 0
+    for left, right in itertools.product(fns, repeat=2):
+        if relations._level_separator(p_level(left), p_level(right)) is not None:
+            continue
+        expected = unpruned_pool_separator(left, right)
+        assert find_separating_relation(left, right).found == expected, (left, right)
+        pooled += 1
+        found += expected is not None
+    assert (pooled, found) == (77, 2)
 
 
 def test_parse_and_format_relations():
