@@ -75,9 +75,9 @@ from .relations import (
     chain_relation,
     find_separating_relation,
     format_relation,
-    inexpressible_by_plevel,
     invariance_counterexample,
     is_invariant,
+    level_separator,
     parse_relation,
     parse_relation_file,
     predict_invariant,

@@ -307,9 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_to_stdout(run: Callable[[], int]) -> int:
-    """Exit code of `run()`, or 141 if the reader of stdout has gone."""
+    """Exit code of `run()`; an analysis error is one `error:` line on
+    stderr and exit 4 for a count above the budget, 3 for any other,
+    and a reader of stdout that has gone is exit 141."""
     try:
-        code = run()
+        try:
+            code = run()
+        except AnalysisError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 4 if isinstance(exc, BudgetExceededError) else 3
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:
@@ -321,15 +327,8 @@ def run_to_stdout(run: Callable[[], int]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     def run() -> int:
-        try:
-            args = build_parser().parse_args(argv)
-            return args.fn(args)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
 
     return run_to_stdout(run)
 

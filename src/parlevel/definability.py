@@ -29,13 +29,13 @@ from .errors import (
 )
 from .functions import MonotoneFn
 from .lattice import mask_coherent
-from .plevels import min_coherent_subset
+from .plevels import min_coherent_subset, p_level
 from .relations import (
     Relation,
     Separation,
     find_separating_relation,
     format_relation,
-    inexpressible_by_plevel,
+    level_separator,
 )
 from .terms import (
     bg_rotation_terms, eval_term, format_term, inline_oracle, oracle_calls, por_step_term
@@ -318,6 +318,16 @@ def _positive(
     return None
 
 
+# whether left is definable from right, and right from left -> relation;
+# a pair with an open direction (None) is "unknown"
+VERDICTS = {
+    (True, True): "equiparallel",
+    (True, False): "left_below_strict",
+    (False, True): "right_below_strict",
+    (False, False): "incomparable",
+}
+
+
 def compare(
     f: MonotoneFn,
     g: MonotoneFn,
@@ -325,56 +335,39 @@ def compare(
     allow_terms: bool = False,
     extra_relations: tuple[Relation, ...] = (),
 ) -> CompareVerdict:
-    """Run both negative searches, and the positive searches of each
-    direction the levels do not refute, and combine them into the
-    strongest sound verdict.  Absence of a mapping is never converted
-    into a negative claim; budget exhaustion degrades to "unknown" with
-    a note."""
+    """Settle each direction, f from g and g from f, and read the verdict
+    off VERDICTS: a separator settles it negatively, a mapping or term
+    certificate positively, and a direction the levels refute gets no
+    positive search.  Absence of a mapping is never a negative claim;
+    evidence both ways raises SoundnessError; a skipped search leaves a
+    note, each note once."""
+    directions = ((f, g), (g, f))
     # the separator searches read both levels, so they run first: an
     # input past the coherence bound is refused before any mapping search
-    neg_lr_out = find_separating_relation(f, g, config, extra_relations)
-    neg_rl_out = find_separating_relation(g, f, config, extra_relations)
-    # a mapping would prove definability, which a level separator refutes
-    refuted = inexpressible_by_plevel(f, g)
+    outcomes = [find_separating_relation(lo, hi, config, extra_relations) for lo, hi in directions]
+    levels = (p_level(f), p_level(g))
     notes: list[str] = []
-    pos_lr = pos_rl = None
-    if "left_not_below_right" not in refuted:
-        pos_lr = _positive(f, g, config, allow_terms, notes)
-    if "right_not_below_left" not in refuted:
-        pos_rl = _positive(g, f, config, allow_terms, notes)
-    notes.extend(neg_lr_out.skipped)
-    notes.extend(neg_rl_out.skipped)
-
-    neg_lr = (
-        separation_certificate(f, g, neg_lr_out.found) if neg_lr_out.found else None
-    )
-    neg_rl = (
-        separation_certificate(g, f, neg_rl_out.found) if neg_rl_out.found else None
-    )
-
-    for (lo, hi), pos, neg in (((f, g), pos_lr, neg_lr), ((g, f), pos_rl, neg_rl)):
+    positive, negative, settled = [], [], []
+    for (lo, hi), (p_lo, p_hi), outcome in zip(directions, (levels, levels[::-1]), outcomes):
+        # a mapping would prove definability, which a level separator refutes
+        refuted = level_separator(p_lo, p_hi) is not None
+        pos = None if refuted else _positive(lo, hi, config, allow_terms, notes)
+        neg = outcome.found and separation_certificate(lo, hi, outcome.found)
         if pos and neg:
             raise SoundnessError(
                 f"both {lo.label} <= {hi.label} and its negation are certified"
             )
+        positive.append(pos)
+        negative.append(neg)
+        settled.append(True if pos else False if neg else None)
+    notes.extend(note for outcome in outcomes for note in outcome.skipped)
 
-    evidence = tuple(c for c in (pos_lr, pos_rl, neg_lr, neg_rl) if c)
-    if pos_lr and pos_rl:
-        relation = "equiparallel"
-    elif pos_lr and neg_rl:
-        relation = "left_below_strict"
-    elif pos_rl and neg_lr:
-        relation = "right_below_strict"
-    elif neg_lr and neg_rl:
-        relation = "incomparable"
-    else:
-        relation = "unknown"
-        if pos_lr:
-            notes.append("left <= right established; reverse direction unresolved")
-        if pos_rl:
-            notes.append("right <= left established; reverse direction unresolved")
-        if neg_lr:
-            notes.append("left not below right established; other direction open")
-        if neg_rl:
-            notes.append("right not below left established; other direction open")
-    return CompareVerdict(relation, evidence, tuple(notes))
+    relation = VERDICTS.get(tuple(settled), "unknown")
+    if relation == "unknown":
+        for (a, b), known in zip((("left", "right"), ("right", "left")), settled):
+            if known is True:
+                notes.append(f"{a} <= {b} established; reverse direction unresolved")
+            elif known is False:
+                notes.append(f"{a} not below {b} established; other direction open")
+    evidence = tuple(c for c in positive + negative if c)
+    return CompareVerdict(relation, evidence, tuple(dict.fromkeys(notes)))

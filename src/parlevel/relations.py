@@ -156,7 +156,7 @@ def predict_invariant(level: PLevel, rel: PreseqRel) -> bool:
     return size_a <= level.j
 
 
-def _level_separator(pl: PLevel, pr: PLevel) -> PreseqRel | None:
+def level_separator(pl: PLevel, pr: PLevel) -> PreseqRel | None:
     """The canonical relation that levels pl and pr say separates left
     from right: one the right function respects and the left one breaks,
     so the left is not definable from the right.  A higher level means
@@ -167,18 +167,6 @@ def _level_separator(pl: PLevel, pr: PLevel) -> PreseqRel | None:
     if pl.j < pr.j:
         return canonical_strict(pl.j + 1)
     return None
-
-
-def inexpressible_by_plevel(left: MonotoneFn, right: MonotoneFn) -> frozenset[str]:
-    """Level-comparison fast path.  Returns any of
-    'left_not_below_right' / 'right_not_below_left'."""
-    pl, pr = p_level(left), p_level(right)
-    claims = set()
-    if _level_separator(pl, pr) is not None:
-        claims.add("left_not_below_right")
-    if _level_separator(pr, pl) is not None:
-        claims.add("right_not_below_left")
-    return frozenset(claims)
 
 
 def canonicalize(rel: PreseqRel) -> PreseqRel:
@@ -404,6 +392,9 @@ def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | N
 
 
 CHAIN_ARITY = 5  # widest chain relation in the separator pool
+# chain2 is left out: its one conjunct, |A| = |B| = 2, is respected at
+# every level, as no level's first coordinate is below 2
+CHAIN_POOL = tuple(chain_relation(j) for j in range(3, CHAIN_ARITY + 1))
 
 
 def find_separating_relation(
@@ -415,17 +406,18 @@ def find_separating_relation(
     """Look for a relation certifying left-not-definable-from-right.
 
     Tried in order: the canonical relation the level comparison
-    predicts to separate; the chain relations of arity 2 to CHAIN_ARITY;
-    then any user-supplied relations, which is where a wider relation
-    goes.  A pool relation is not searched when the left function
-    respects each of its conjuncts by level (`predict_invariant`): the
-    relations a function respects are closed under intersection, so it
-    has no left witness.  A None outcome only means "no separator found
-    within bounds" and never implies definability.
+    predicts to separate; CHAIN_POOL, the chain relations of arity 3 to
+    CHAIN_ARITY; then any user-supplied relations, which is where a
+    wider relation goes.  A pool relation is not searched when the left
+    function respects each of its conjuncts by level
+    (`predict_invariant`): the relations a function respects are closed
+    under intersection, so it has no left witness.  A None outcome only
+    means "no separator found within bounds" and never implies
+    definability.
     """
     skipped: list[str] = []
     level = p_level(left)
-    rel = _level_separator(level, p_level(right))
+    rel = level_separator(level, p_level(right))
     if rel is not None:
         witness = constructed_witness(left, rel)
         if witness is None:
@@ -450,8 +442,7 @@ def find_separating_relation(
             Separation(rel, witness, method, states), tuple(skipped)
         )
 
-    chain_pool: list[Relation] = [chain_relation(j) for j in range(2, CHAIN_ARITY + 1)]
-    for rel in chain_pool + list(extra_relations):
+    for rel in (*CHAIN_POOL, *extra_relations):
         conjuncts = rel.conjuncts if isinstance(rel, SeqRel) else (rel,)
         if all(predict_invariant(level, c) for c in conjuncts):
             continue

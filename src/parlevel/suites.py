@@ -36,9 +36,9 @@ from .relations import (
     canonicalize,
     chain_relation,
     find_separating_relation,
-    inexpressible_by_plevel,
     invariance_counterexample,
     is_invariant,
+    level_separator,
     predict_invariant,
 )
 from .terms import bg_rotation_terms, eval_term, mono_to_det_term, por_step_term
@@ -303,8 +303,7 @@ def suite_hierarchies() -> list[CheckResult]:
                 ok = (
                     found is not None
                     and found.witness.verify(low)
-                    and "left_not_below_right"
-                    in inexpressible_by_plevel(low, high)
+                    and level_separator(p_level(low), p_level(high)) is not None
                     and (
                         found.invariant_method == "brute"
                         or found.invariant_states > DEFAULT_CONFIG.budget

@@ -312,6 +312,21 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("names", ["foo,bp", "por_i(100),bp"], ids=["unknown-name", "coherence-bound"])
+def test_script_bad_input_is_one_error_line(names):
+    """A script's input error goes through `run_to_stdout` as the command
+    line's does: one `error:` line and exit 3, no traceback."""
+    src = str(Path(parlevel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "degree_matrix.py"), "--names", names],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_compare_resolved_exit_zero(capsys):
     code, out, _ = run(capsys, "compare", "zoo:bg(2,1)", "zoo:bg(1,1)")
     assert code == 0
@@ -652,7 +667,7 @@ def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
     assert code == 0 and err == ""
     verdict = json.loads(out)
     assert verdict["relation"] == "equiparallel"
-    assert verdict["notes"] == 2 * [
+    assert verdict["notes"] == [
         f"{chain}: skipped (function table needs 3^17 cells, above cell cap 100000000)"
         for chain in (
             "seqrel n=3 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3}",

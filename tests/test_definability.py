@@ -4,8 +4,10 @@ written by definition on random traces."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+import json
 import time
 
 import pytest
@@ -287,6 +289,35 @@ def test_compare_incomparable():
     # respects, and no trace mapping exists in either direction
     verdict = compare(zoo.gustave(1), zoo.bivalued_gustave(2, 1))
     assert verdict.relation == "incomparable"
+
+
+MIRRORED = {"left_below_strict": "right_below_strict", "right_below_strict": "left_below_strict"}
+
+
+def assert_mirrored(f, g, allow_terms=False):
+    """compare(g, f) is compare(f, g) with left and right swapped: the
+    relation is swapped and the evidence is the same certificates."""
+    forward = compare(f, g, allow_terms=allow_terms)
+    backward = compare(g, f, allow_terms=allow_terms)
+    assert backward.relation == MIRRORED.get(forward.relation, forward.relation), (f, g)
+    certificates = [
+        collections.Counter(json.dumps(c.to_json_dict(), sort_keys=True) for c in v.evidence)
+        for v in (forward, backward)
+    ]
+    assert certificates[0] == certificates[1], (f, g)
+
+
+@pytest.mark.parametrize("allow_terms", [False, True], ids=["plain", "terms"])
+def test_compare_mirrors_on_catalog_pairs(allow_terms):
+    fns = zoo.catalog(max_arity=3) + [fn_sum(zoo.bp(), zoo.ttdet())]
+    for f, g in itertools.product(fns, repeat=2):
+        assert_mirrored(f, g, allow_terms)
+
+
+@settings(deadline=None)
+@given(random_traces(arities=(2, 3), max_entries=6), random_traces(arities=(2, 3), max_entries=6))
+def test_compare_mirrors_on_random_traces(f, g):
+    assert_mirrored(f, g)
 
 
 def test_certificates_serialize_and_replay():

@@ -32,10 +32,10 @@ from parlevel import (
     entry,
     enumerate_monotone,
     fn_sum,
-    inexpressible_by_plevel,
     is_coherent,
     is_m_sequential,
     leq,
+    level_separator,
     neg,
     p_level,
     p_level_of_sum,
@@ -143,40 +143,42 @@ def test_neg_preserves_level():
 
 
 def test_inexpressible_examples():
-    # levels (inf, 4) vs (inf, 2): the smaller-index function is the
-    # stronger one, so it is not definable from the weaker left operand
-    assert inexpressible_by_plevel(zoo.gustave(2), zoo.gustave(1)) == frozenset(
-        {"right_not_below_left"}
-    )
-    assert inexpressible_by_plevel(zoo.bp(), zoo.bp()) == frozenset()
+    """`level_separator` names the canonical relation the levels say
+    separates left from right, the equal-index family first, or None."""
+    g1, g2 = zoo.gustave(1), zoo.gustave(2)
+    bg21, bg11 = zoo.bivalued_gustave(2, 1), zoo.bivalued_gustave(1, 1)
+
+    def separator(f, g):
+        return level_separator(p_level(f), p_level(g))
+
+    # levels (inf, 2) vs (inf, 4): the smaller-index function is the
+    # stronger one, so it is not definable from the weaker right operand
+    assert separator(g1, g2) == canonical_strict(3)
+    assert separator(g2, g1) is None
+    assert separator(zoo.bp(), zoo.bp()) is None
     # (4, 4) vs (2, 2): both coordinates larger on the left
-    assert inexpressible_by_plevel(
-        zoo.bivalued_gustave(2, 1), zoo.bivalued_gustave(1, 1)
-    ) == frozenset({"right_not_below_left"})
+    assert separator(bg21, bg11) is None
+    assert separator(bg11, bg21) == canonical_equal(3)
     # incomparable levels (inf, 2) vs (4, 4): both directions blocked
-    assert inexpressible_by_plevel(
-        zoo.gustave(1), zoo.bivalued_gustave(2, 1)
-    ) == frozenset({"left_not_below_right", "right_not_below_left"})
+    assert separator(g1, bg21) == canonical_strict(3)
+    assert separator(bg21, g1) == canonical_equal(5)
 
 
 def test_inexpressible_agrees_with_verified_separations():
-    # every fast-path claim must be backed by a relation separator whose
-    # counterexample witness replays against the blocked function
+    # every level separator must be the relation the separator search
+    # returns, with a counterexample witness that replays against the
+    # blocked function
     from parlevel import find_separating_relation
 
     fns = [zoo.bp(), zoo.gustave(1), zoo.gustave(2), zoo.bivalued_gustave(2, 1),
            zoo.por(2), zoo.por(3), zoo.ttdet(), zoo.left_strict_and()]
     for f in fns:
         for g in fns:
-            claims = inexpressible_by_plevel(f, g)
-            if "left_not_below_right" in claims:
+            rel = level_separator(p_level(f), p_level(g))
+            if rel is not None:
                 sep = find_separating_relation(f, g).found
-                assert sep is not None, (f.name, g.name)
+                assert sep is not None and sep.relation == rel, (f.name, g.name)
                 assert sep.witness.verify(f)
-            if "right_not_below_left" in claims:
-                sep = find_separating_relation(g, f).found
-                assert sep is not None, (f.name, g.name)
-                assert sep.witness.verify(g)
 
 
 def test_classify_examples():

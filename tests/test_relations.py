@@ -24,6 +24,7 @@ from parlevel import (
     FormatError,
     INF,
     InvarianceWitness,
+    PLevel,
     PreseqRel,
     SeqRel,
     SoundnessError,
@@ -606,13 +607,28 @@ def test_level_prune_keeps_every_catalog_separator():
     fns = zoo.catalog(max_arity=3) + [fn_sum(zoo.bp(), zoo.ttdet())]
     pooled, found = 0, 0
     for left, right in itertools.product(fns, repeat=2):
-        if relations._level_separator(p_level(left), p_level(right)) is not None:
+        if relations.level_separator(p_level(left), p_level(right)) is not None:
             continue
         expected = unpruned_pool_separator(left, right)
         assert find_separating_relation(left, right).found == expected, (left, right)
         pooled += 1
         found += expected is not None
     assert (pooled, found) == (77, 2)
+
+
+def test_every_pool_relation_can_separate():
+    """Each CHAIN_POOL relation has a conjunct that the lowest level,
+    PLevel(2, 1), breaks: a relation every level respects is pruned
+    before any search, as chain2 would be."""
+    lowest = PLevel(2, 1)
+    assert relations.CHAIN_POOL == tuple(
+        chain_relation(j) for j in range(3, relations.CHAIN_ARITY + 1)
+    )
+    for rel in relations.CHAIN_POOL:
+        assert not all(relations.predict_invariant(lowest, c) for c in rel.conjuncts), rel
+    assert all(relations.predict_invariant(lowest, c) for c in chain_relation(2).conjuncts)
+    with pytest.raises(ValueError):
+        PLevel(1, 1)
 
 
 def test_parse_and_format_relations():
