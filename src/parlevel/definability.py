@@ -76,12 +76,15 @@ def _check_mapping_bound(source: MonotoneFn) -> None:
         )
 
 
-def _images_ok(masks, assignment, src_tt, tgt_tt, tplanes) -> bool:
-    """The mapping condition on the given source masks: each image is a
-    coherent set of two or more target entries, and source entries with
-    different outputs keep different outputs.  `src_tt`/`tgt_tt` are
-    the traces' true-output masks, `tplanes` the target's bitplanes."""
-    for mask in masks:
+def check_bm(mapping: BMMapping) -> bool:
+    """Exact check over ALL source subsets (coherence is not closed
+    under subsets, so minimal subsets alone would not do): each image is
+    a coherent set of two or more target entries, and source entries
+    with different outputs keep different outputs."""
+    src, tgt = mapping.source, mapping.target
+    _check_mapping_bound(src)
+    assignment, src_tt, tgt_tt = mapping.assignment, src.tt_mask, tgt.tt_mask
+    for mask in src.coherent_subsets:
         image = outs_tt = outs_ff = 0
         bits = mask
         while bits:
@@ -93,52 +96,93 @@ def _images_ok(masks, assignment, src_tt, tgt_tt, tplanes) -> bool:
             else:
                 outs_ff |= 1 << (tgt_tt >> t & 1)
             bits ^= low
-        if image.bit_count() < 2 or not mask_coherent(image, tplanes):
+        if image.bit_count() < 2 or not mask_coherent(image, tgt.planes):
             return False
         if outs_tt & outs_ff:
             return False
     return True
 
 
-def check_bm(mapping: BMMapping) -> bool:
-    """Exact check over ALL source subsets (coherence is not closed
-    under subsets, so minimal subsets alone would not do)."""
-    src, tgt = mapping.source, mapping.target
-    _check_mapping_bound(src)
-    return _images_ok(
-        src.coherent_subsets, mapping.assignment, src.tt_mask, tgt.tt_mask, tgt.planes
-    )
-
-
 def bm_search(
     f: MonotoneFn, g: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> BMMapping | None:
-    """Depth-first search for a valid trace mapping f -> g, assigning
-    target indices in ascending order with forward checking restricted
-    to already-assigned entries; the first hit is returned after a full
-    re-verification.  None means no mapping exists (within the exact,
-    exhaustive search) -- which licenses NO negative conclusion."""
+    """Depth-first search for a valid trace mapping f -> g.  Source
+    entries are assigned in order; each node builds one bitmask of the
+    targets its entry may take and descends into its set bits in
+    ascending order.  Two rules build the mask, and each drops only
+    targets that no passing completion uses, so the first hit is the
+    first passing assignment in lexicographic order:
+
+    - polarity: an entry's polarity is its target output xor its source
+      output.  The output condition holds exactly when polarity is
+      constant on every coherent subset with both source outputs, and
+      so on their connected unions; an entry whose union's lowest entry
+      is already assigned may take only targets of one output;
+    - image: for each coherent subset whose highest entry is this one,
+      the image of the rest plus the target must be coherent and have
+      two or more entries (worked out from `g.planes` once per image).
+
+    The hit is re-verified by `check_bm`.  None means no mapping exists
+    (the search is exhaustive) -- which licenses NO negative conclusion."""
     _check_mapping_bound(f)
-    m = f.trace_size
-    raw = g.trace_size**m
+    m, n = f.trace_size, g.trace_size
+    raw = n**m
     if raw > config.budget:
         raise BudgetExceededError(raw, config.budget, what="mapping search")
 
-    # a subset is checked once its highest entry is assigned
-    by_max: list[list[int]] = [[] for _ in range(m)]
+    src_tt = f.tt_mask
+    tied = [1 << d for d in range(m)]  # the entries sharing d's polarity
+    lower_parts: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for mask in f.coherent_subsets:
-        by_max[mask.bit_length() - 1].append(mask)
-    src_tt, tgt_tt, tplanes = f.tt_mask, g.tt_mask, g.planes
-    assignment: list[int] = []
+        members = [d for d in range(m) if mask >> d & 1]
+        lower_parts[members[-1]].append(tuple(members[:-1]))
+        if mask & src_tt and mask & ~src_tt:
+            union = 0
+            for d in members:
+                union |= tied[d]
+            for d in range(m):
+                if union >> d & 1:
+                    tied[d] = union
+    roots = [(mask & -mask).bit_length() - 1 for mask in tied]
+    flips = [(src_tt >> d ^ src_tt >> root) & 1 for d, root in enumerate(roots)]
+
+    everything = (1 << n) - 1
+    tgt_tt = g.tt_mask
+    by_output = (everything & ~tgt_tt, tgt_tt)
+
+    @functools.cache
+    def extensions(image: int) -> int:
+        # the targets t for which image | t is coherent with two or more entries
+        allowed = everything if image & image - 1 else everything & ~image
+        for bot, tt, ff in g.planes:
+            if not image & bot:
+                if image & tt:
+                    allowed &= ~ff
+                if image & ff:
+                    allowed &= ~tt
+        return allowed
+
+    assignment = [0] * m
 
     def dfs(depth: int) -> bool:
         if depth == m:
             return True
-        for t in range(g.trace_size):
-            assignment.append(t)
-            if _images_ok(by_max[depth], assignment, src_tt, tgt_tt, tplanes) and dfs(depth + 1):
+        root = roots[depth]
+        if root < depth:
+            allowed = by_output[(tgt_tt >> assignment[root] & 1) ^ flips[depth]]
+        else:
+            allowed = everything
+        for lower in lower_parts[depth]:
+            image = 0
+            for d in lower:
+                image |= 1 << assignment[d]
+            allowed &= extensions(image)
+        while allowed:
+            low = allowed & -allowed
+            assignment[depth] = low.bit_length() - 1
+            if dfs(depth + 1):
                 return True
-            assignment.pop()
+            allowed ^= low
         return False
 
     if not dfs(0):

@@ -8,6 +8,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -26,14 +27,18 @@ from parlevel import (
     check_bm,
     cofinal_witness,
     compare,
+    enumerate_monotone,
     fn_sum,
     inline_oracle,
     mapping_certificate,
     neg,
     parse_relation,
+    trace_from_table,
     zoo,
 )
 from parlevel import definability
+from parlevel.functions import monotone_tables
+from parlevel.lattice import mask_coherent
 from parlevel.relations import InvarianceWitness
 from parlevel import TriTuple
 from test_plevels import plainly_coherent, random_traces
@@ -126,6 +131,44 @@ def test_bm_search_chain_assignments(negate):
     for (source, target), assignment in CHAIN_ASSIGNMENTS.items():
         m = bm_search(wrap(zoo.make(source)), wrap(zoo.make(target)))
         assert m is not None and m.assignment == assignment, (source, target)
+
+
+# pairs whose raw space |g|^|f| is above the default budget of 10^8:
+# refused before any search, the same for the functions and their negations
+OVER_BUDGET = [
+    ("gustave_i(6)", "gustave_i(3)"),
+    ("gustave_i(6)", "gustave_i(2)"),
+    ("bg(4,1)", "bg(4,1)"),
+    ("bg(6,1)", "bg(3,1)"),
+]
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+def test_bm_search_over_budget_pairs(negate):
+    wrap = neg if negate else (lambda fn: fn)
+    for source, target in OVER_BUDGET:
+        with pytest.raises(BudgetExceededError, match="mapping search"):
+            bm_search(wrap(zoo.make(source)), wrap(zoo.make(target)), DEFAULT_CONFIG)
+
+
+# each source's one coherent subset is its whole trace, so only the
+# output polarity prunes before the last entry; a search that tries
+# every child lists |g|^(m-1) prefixes here (seconds for bg(5,1))
+POLARITY_ANSWERS = {
+    ("bg(5,1)", "bg(2,1)"): (0, 1, 1, 1, 1, 1, 1, 1, 2, 3, 4),
+    ("bg(4,1)", "bg(3,1)"): (0, 1, 1, 1, 2, 3, 4, 5, 6),
+    ("bg(3,2)", "bg(3,1)"): None,
+}
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+def test_bm_search_polarity_answers(negate):
+    wrap = neg if negate else (lambda fn: fn)
+    start = time.perf_counter()
+    for (source, target), assignment in POLARITY_ANSWERS.items():
+        m = bm_search(wrap(zoo.make(source)), wrap(zoo.make(target)))
+        assert (None if m is None else m.assignment) == assignment, (source, target)
+    assert time.perf_counter() - start < 1
 
 
 def test_bm_search_sum_embeddings():
@@ -349,31 +392,66 @@ def test_mapping_certificate_payload():
 # Mapping check and search against the condition written by definition
 # ---------------------------------------------------------------------------
 
-def check_bm_by_definition(mapping) -> bool:
+def coherent_combos(fn):
+    """The coherent subsets of two or more entries, as index tuples."""
+    for size in range(2, fn.trace_size + 1):
+        for combo in itertools.combinations(range(fn.trace_size), size):
+            if plainly_coherent([fn.entries[i].input for i in combo]):
+                yield combo
+
+
+def images_kept_by_definition(mapping) -> bool:
     """Every non-singleton coherent subset of source entries has a
-    coherent image of two or more target entries, and no target output
-    is reached from source entries of both outputs."""
-    src, tgt, assignment = mapping.source, mapping.target, mapping.assignment
-    for size in range(2, src.trace_size + 1):
-        for combo in itertools.combinations(range(src.trace_size), size):
-            if not plainly_coherent([src.entries[i].input for i in combo]):
-                continue
-            image = {assignment[i] for i in combo}
-            if len(image) < 2:
-                return False
-            if not plainly_coherent([tgt.entries[t].input for t in image]):
-                return False
-            reached = {
-                out: {
-                    tgt.entries[assignment[i]].output
-                    for i in combo
-                    if src.entries[i].output == out
-                }
-                for out in (TT, FF)
-            }
-            if reached[TT] & reached[FF]:
-                return False
+    coherent image of two or more target entries."""
+    tgt, assignment = mapping.target, mapping.assignment
+    for combo in coherent_combos(mapping.source):
+        image = {assignment[i] for i in combo}
+        if len(image) < 2 or not plainly_coherent([tgt.entries[t].input for t in image]):
+            return False
     return True
+
+
+def outputs_kept_by_definition(mapping) -> bool:
+    """In no coherent subset of source entries is a target output
+    reached from source entries of both outputs."""
+    src, tgt, assignment = mapping.source, mapping.target, mapping.assignment
+    for combo in coherent_combos(src):
+        reached = {
+            out: {tgt.entries[assignment[i]].output for i in combo if src.entries[i].output == out}
+            for out in (TT, FF)
+        }
+        if reached[TT] & reached[FF]:
+            return False
+    return True
+
+
+def check_bm_by_definition(mapping) -> bool:
+    return images_kept_by_definition(mapping) and outputs_kept_by_definition(mapping)
+
+
+def polarity_constant_on_mixed_components(mapping) -> bool:
+    """An entry's polarity is its target output xor its source output.
+    The coherent subsets with both source outputs join entries into
+    components (each named by its lowest entry); polarity is constant
+    on each."""
+    src, tgt, assignment = mapping.source, mapping.target, mapping.assignment
+    component = list(range(src.trace_size))
+    for combo in coherent_combos(src):
+        if len({src.entries[i].output for i in combo}) == 2:
+            joined = {component[i] for i in combo}
+            component = [min(joined) if c in joined else c for c in component]
+    polarity = [
+        (tgt.entries[t].output == TT) != (src.entries[i].output == TT)
+        for i, t in enumerate(assignment)
+    ]
+    return all(polarity[i] == polarity[c] for i, c in enumerate(component))
+
+
+def draw_assignment(data, src, tgt) -> tuple[int, ...]:
+    # random_traces always keeps its first candidate, so tgt is not empty
+    index = st.integers(0, tgt.trace_size - 1)
+    size = src.trace_size
+    return tuple(data.draw(st.lists(index, min_size=size, max_size=size)))
 
 
 source_traces = random_traces(arities=(3,), max_entries=6)
@@ -382,12 +460,18 @@ source_traces = random_traces(arities=(3,), max_entries=6)
 @settings(deadline=None)
 @given(source_traces, random_traces(arities=(3, 4), max_entries=6), st.data())
 def test_check_bm_equals_definition(src, tgt, data):
-    # random_traces always keeps its first candidate, so tgt is not empty
-    index = st.integers(0, tgt.trace_size - 1)
-    size = src.trace_size
-    assignment = tuple(data.draw(st.lists(index, min_size=size, max_size=size)))
-    mapping = BMMapping(src, tgt, assignment)
+    mapping = BMMapping(src, tgt, draw_assignment(data, src, tgt))
     assert check_bm(mapping) == check_bm_by_definition(mapping)
+
+
+@settings(deadline=None)
+@given(source_traces, random_traces(arities=(3, 4), max_entries=6), st.data())
+def test_polarity_premise(src, tgt, data):
+    """The search's polarity rule: the output half of the mapping
+    condition holds exactly when polarity is constant on each component
+    of the coherent subsets with both source outputs."""
+    mapping = BMMapping(src, tgt, draw_assignment(data, src, tgt))
+    assert outputs_kept_by_definition(mapping) == polarity_constant_on_mixed_components(mapping)
 
 
 @settings(deadline=None)
@@ -409,3 +493,70 @@ def test_bm_search_hit_passes_definition(src, tgt):
             None,
         )
         assert (None if mapping is None else mapping.assignment) == first
+
+
+# ---------------------------------------------------------------------------
+# The search against the search that tries every child
+# ---------------------------------------------------------------------------
+
+def images_ok(masks, assignment, src, tgt) -> bool:
+    """The mapping condition on the given source masks alone."""
+    for mask in masks:
+        image = outs_tt = outs_ff = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            t = assignment[low.bit_length() - 1]
+            image |= 1 << t
+            if src.tt_mask & low:
+                outs_tt |= 1 << (tgt.tt_mask >> t & 1)
+            else:
+                outs_ff |= 1 << (tgt.tt_mask >> t & 1)
+            bits ^= low
+        if image.bit_count() < 2 or not mask_coherent(image, tgt.planes):
+            return False
+        if outs_tt & outs_ff:
+            return False
+    return True
+
+
+def per_child_search(f, g) -> tuple[int, ...] | None:
+    """The first passing assignment in lexicographic order, or None:
+    every target is tried at every node, and a subset is checked once
+    its highest entry is assigned."""
+    by_max = [[] for _ in range(f.trace_size)]
+    for mask in f.coherent_subsets:
+        by_max[mask.bit_length() - 1].append(mask)
+    assignment = []
+
+    def dfs(depth):
+        if depth == f.trace_size:
+            return True
+        for t in range(g.trace_size):
+            assignment.append(t)
+            if images_ok(by_max[depth], assignment, f, g) and dfs(depth + 1):
+                return True
+            assignment.pop()
+        return False
+
+    return tuple(assignment) if dfs(0) else None
+
+
+def assert_same_search(pairs):
+    for f, g in pairs:
+        mapping = bm_search(f, g)
+        assert (None if mapping is None else mapping.assignment) == per_child_search(f, g), (f, g)
+
+
+def test_bm_search_equals_per_child_search_to_arity_2():
+    """Every ordered pair of the monotone functions of arity 1 and 2 and
+    the catalog functions of arity 3 or less."""
+    fns = [*enumerate_monotone(1), *enumerate_monotone(2), *zoo.catalog(max_arity=3)]
+    assert_same_search(itertools.product(fns, repeat=2))
+
+
+def test_bm_search_equals_per_child_search_on_arity_3_sample():
+    tables = monotone_tables(3)
+    rows = random.Random(20261020).sample(range(len(tables)), 600)
+    fns = [trace_from_table(3, tables[i]) for i in rows]
+    assert_same_search(zip(fns[::2], fns[1::2]))
