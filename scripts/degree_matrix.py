@@ -11,10 +11,8 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
-
 from parlevel import compare
-from parlevel.cli import run_to_stdout
+from parlevel.cli import Parser, run_to_stdout
 from parlevel.zoo import make
 
 DEFAULT_NAMES = [
@@ -40,7 +38,7 @@ CELL = {
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--allow-terms", action="store_true")
     parser.add_argument("--names", help="comma-separated names (zoo grammar)")
     args = parser.parse_args()

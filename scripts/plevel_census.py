@@ -8,16 +8,15 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 from collections import Counter
 
 from parlevel import classify, enumerate_monotone
-from parlevel.cli import run_to_stdout
+from parlevel.cli import Parser, flag_number, run_to_stdout
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--arity", type=int, default=2, choices=(1, 2, 3))
+    parser = Parser(description=__doc__)
+    parser.add_argument("--arity", type=flag_number, default=2, choices=(1, 2, 3))
     args = parser.parse_args()
 
     levels: Counter = Counter()

@@ -6,10 +6,11 @@ Exit codes: 0 resolved verdict / pass, 1 verification failures,
 
 Exit 4 is only a count above the `--budget` given (BudgetExceededError),
 which a larger budget would let run; every other limit exits 3 like any
-input error.  The fixed bounds (plevels.COHERENCE_BOUND,
-definability.MAPPING_BOUND, functions.RECURSION_BOUND,
-plevels.ENUMERATION_BOUND, the cell cap of functions.check_cells, the
-2^63 index limit) and `--table-bound` raise BoundExceededError.  A term
+input error.  The fixed bounds (functions.COHERENCE_BOUND,
+functions.RECURSION_BOUND, plevels.ENUMERATION_BOUND, the cell cap of
+functions.check_cells, the 2^63 index limit) and `--table-bound` raise
+BoundExceededError, and every budgeted search checks them before its
+budget, so input that is refused at every budget exits 3.  A term
 file or function name nested past functions.NESTING_BOUND, a family
 parameter above zoo.PARAM_BOUND, a name of more than zoo.SUM_BOUND
 summands, or a number of more than errors.DIGIT_LIMIT digits, is a
@@ -215,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are input errors, exit 3
     (subparsers take the same class)."""
 
@@ -223,7 +224,7 @@ class _Parser(argparse.ArgumentParser):
         raise AnalysisError(message)
 
 
-def _flag_number(text: str) -> int:
+def flag_number(text: str) -> int:
     """A flag's number, read by the rule every number in the input follows."""
     try:
         value = read_number(text)
@@ -235,7 +236,7 @@ def _flag_number(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="parlevel",
         description=(
             "Analyze first-order monotone boolean functions: invariance "
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
         "--json": dict(action="store_true", help="machine-readable output"),
-        "--budget": dict(type=_flag_number, help="brute-force state budget"),
-        "--table-bound": dict(type=_flag_number, help="max arity for full-table evaluation"),
+        "--budget": dict(type=flag_number, help="brute-force state budget"),
+        "--table-bound": dict(type=flag_number, help="max arity for full-table evaluation"),
     }
 
     def add_flags(p, *names):  # only the flags the command reads

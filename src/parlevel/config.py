@@ -1,9 +1,10 @@
 """Search budgets a caller may set, bundled so call sites can override them.
 
 Only a count above `budget` is a BudgetExceededError (exit 4).  Fixed
-limits (coherence, mapping, recursion and enumeration bounds, the cell
-cap, the int64 index limit) live beside their one check as module
-constants and, like `table_bound`, raise BoundExceededError.
+limits (coherence, recursion and enumeration bounds, the cell cap, the
+int64 index limit) live beside their one check as module constants and,
+like `table_bound`, raise BoundExceededError.  A budgeted search checks
+them first, so the budget refuses only what a larger budget would run.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .errors import (
     SoundnessError,
     state_figure,
 )
-from .functions import MonotoneFn
+from .functions import MonotoneFn, check_cells
 from .lattice import mask_coherent
 from .plevels import min_coherent_subset, p_level
 from .relations import (
@@ -65,24 +65,13 @@ class BMMapping:
         ]
 
 
-MAPPING_BOUND = 16  # largest source trace a mapping check or search takes
-
-
-def _check_mapping_bound(source: MonotoneFn) -> None:
-    m = source.trace_size
-    if m > MAPPING_BOUND:
-        raise BoundExceededError(
-            f"source trace size {m} above mapping bound {MAPPING_BOUND}"
-        )
-
-
 def check_bm(mapping: BMMapping) -> bool:
     """Exact check over ALL source subsets (coherence is not closed
     under subsets, so minimal subsets alone would not do): each image is
     a coherent set of two or more target entries, and source entries
-    with different outputs keep different outputs."""
+    with different outputs keep different outputs.  The listing refuses
+    a source above `functions.COHERENCE_BOUND`."""
     src, tgt = mapping.source, mapping.target
-    _check_mapping_bound(src)
     assignment, src_tt, tgt_tt = mapping.assignment, src.tt_mask, tgt.tt_mask
     for mask in src.coherent_subsets:
         image = outs_tt = outs_ff = 0
@@ -122,9 +111,12 @@ def bm_search(
       the image of the rest plus the target must be coherent and have
       two or more entries (worked out from `g.planes` once per image).
 
-    The hit is re-verified by `check_bm`.  None means no mapping exists
-    (the search is exhaustive) -- which licenses NO negative conclusion."""
-    _check_mapping_bound(f)
+    The source's coherent subsets are listed first, so a source above
+    `functions.COHERENCE_BOUND` is refused before the |g|^|f| count
+    meets the budget.  The hit is re-verified by `check_bm`.  None means
+    no mapping exists (the search is exhaustive) -- which licenses NO
+    negative conclusion."""
+    subsets = f.coherent_subsets
     m, n = f.trace_size, g.trace_size
     raw = n**m
     if raw > config.budget:
@@ -133,7 +125,7 @@ def bm_search(
     src_tt = f.tt_mask
     tied = [1 << d for d in range(m)]  # the entries sharing d's polarity
     lower_parts: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for mask in f.coherent_subsets:
+    for mask in subsets:
         members = [d for d in range(m) if mask >> d & 1]
         lower_parts[members[-1]].append(tuple(members[:-1]))
         if mask & src_tt and mask & ~src_tt:
@@ -300,7 +292,8 @@ def _try_term_route(
     above the table bound is refused before any term is built.  The
     evaluation fills 3^k cells for each oracle call of that term, the
     product of the steps' calls; more cells than the budget is a
-    BudgetExceededError, raised before the chain is inlined."""
+    BudgetExceededError, raised before the chain is inlined and after
+    the cell cap on the source's table (`check_cells`)."""
     if f.arity > config.table_bound:
         return None
 
@@ -329,6 +322,7 @@ def _try_term_route(
         steps = [forward if jf > jg else backward] * abs(jf - jg)
     if not steps:
         return None  # identity, or a por source below its target
+    check_cells(f.arity, f"term arity {f.arity}")
     cells = math.prod(oracle_calls(step.root) for step in steps) * 3**f.arity
     if cells > config.budget:
         raise BudgetExceededError(cells, config.budget, what="term route")

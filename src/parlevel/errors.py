@@ -73,11 +73,6 @@ def power_count(*powers: tuple[int, int]) -> int | str:
     return count
 
 
-def exceeds(count: int | str, limit: int) -> bool:
-    """Whether a count from `power_count` is above `limit`."""
-    return isinstance(count, str) or count > limit
-
-
 class BudgetExceededError(AnalysisError):
     """A brute-force search would exceed the configured state budget."""
 

@@ -15,7 +15,10 @@ A validated function also carries its trace's coherence facts, built
 once at construction with the check: its inputs' bitplanes (`planes`,
 see `lattice.bitplanes`), the mask of its true-valued entries
 (`tt_mask`) and whether no two entries are coherent (`stable`).  Its
-`coherent_subsets` are listed on first use, for the levels and mappings.
+`coherent_subsets` are listed on first use, for the levels and mappings;
+a trace of more than COHERENCE_BOUND entries is refused there, as a
+bound error.  The listing bound and the cell cap read only sizes, so
+every budgeted gate checks them before it counts states.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     FormatError,
     InconsistentOutputsError,
     NonMonotoneTableError,
-    exceeds,
     power_count,
 )
 from .lattice import (
@@ -42,12 +44,13 @@ from .lattice import (
 )
 
 CELL_LIMIT = 10**8  # cells of an input-sized array: a table or a relation listing
-INDEX_LIMIT = 2**63  # selections or codes an int64 index can number
+COHERENCE_BOUND = 20  # largest trace whose 2^m entry subsets are listed
 
 
 def check_cells(width: int, what: str) -> None:
     """Refuse 3^width cells above CELL_LIMIT, whatever the flags say."""
-    if exceeds(power_count((3, width)), CELL_LIMIT):
+    cells = power_count((3, width))
+    if isinstance(cells, str) or cells > CELL_LIMIT:
         raise BoundExceededError(f"{what} needs 3^{width} cells, above cell cap {CELL_LIMIT}")
 
 
@@ -134,11 +137,16 @@ class MonotoneFn:
     @functools.cached_property
     def coherent_subsets(self) -> list[int]:
         """Masks of the coherent subsets of two or more entries, by size,
-        then in `itertools.combinations` order.  Callers bound m (2^m masks)."""
+        then in `itertools.combinations` order.  A trace of more than
+        COHERENCE_BOUND entries is refused before its 2^m masks are
+        listed, for the coefficients and the mappings alike."""
+        m = self.trace_size
+        if m > COHERENCE_BOUND:
+            raise BoundExceededError(f"trace size {m} above coherence bound {COHERENCE_BOUND}")
         # all masks with entry 0 in before out, then entry 1, and so on
         masks = np.zeros(1, dtype=np.int64)
         sizes = np.zeros(1, dtype=np.int8)
-        for p in reversed(range(self.trace_size)):
+        for p in reversed(range(m)):
             masks = np.concatenate((masks | (1 << p), masks))
             sizes = np.concatenate((sizes + 1, sizes))
         keep = (sizes >= 2) & masks_coherent(masks, self.planes)

@@ -53,19 +53,12 @@ class PLevel:
 # Coherence coefficients
 # ---------------------------------------------------------------------------
 
-COHERENCE_BOUND = 20  # largest trace the coherent-subset scan takes
-
-
 def min_coherent_subset(fn: MonotoneFn, bivalued: bool) -> tuple[TriTuple, ...] | None:
     """Smallest coherent subset of the trace inputs (bivalued on demand,
     then of size >= 3, as coherent pairs agree in output): the first in
-    `fn.coherent_subsets` that qualifies, or None when none does.
+    `fn.coherent_subsets` that qualifies, or None when none does.  The
+    listing refuses a trace above `functions.COHERENCE_BOUND`.
     """
-    m = fn.trace_size
-    if m > COHERENCE_BOUND:
-        raise BoundExceededError(
-            f"trace size {m} above coherence bound {COHERENCE_BOUND}"
-        )
     tt = fn.tt_mask
     for mask in fn.coherent_subsets:
         if not bivalued or (mask & tt) not in (0, mask):

@@ -39,13 +39,9 @@ from .errors import (
     BudgetExceededError,
     FormatError,
     SoundnessError,
-    exceeds,
     power_count,
-    state_figure,
 )
-from .functions import (
-    INDEX_LIMIT, MonotoneFn, check_cells, content_lines, read_number, table_of
-)
+from .functions import MonotoneFn, check_cells, content_lines, read_number, table_of
 from .lattice import Tri, TriTuple
 from .plevels import PLevel, min_coherent_subset, p_level
 
@@ -199,6 +195,7 @@ def chain_relation(j: int) -> SeqRel:
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
+INDEX_LIMIT = 2**63  # selections or codes an int64 index can number
 
 
 @functools.lru_cache(maxsize=1024)
@@ -253,32 +250,31 @@ def invariance_counterexample(
     fn: MonotoneFn, rel: Relation, config: SearchConfig = DEFAULT_CONFIG
 ) -> InvarianceWitness | None:
     """Exhaustive search over all |R|^k row selections; None means
-    invariant.  Raises BudgetExceededError, naming `config.budget`,
-    before touching a search whose state count, or whose relation's 3^n
-    tuples, are above it; a basic relation's state count is known before
-    enumerating it, so that check comes first.  Within the budget, a
-    count above INDEX_LIMIT (no int64 index numbers it) and a listing or
-    table above the cell cap (`check_cells`) raise BoundExceededError;
-    the table's check reads only the arity, so it comes before the
-    listing.
-    Each count comes from `errors.power_count`, so one of more than 4,300
-    digits (a large n or k) is refused by its logarithm, uncomputed.
+    invariant.  The gate checks in one order: the cell cap on the
+    relation's listing and on the function's table (`check_cells`,
+    reading only n and k), then each state count against INDEX_LIMIT
+    (no int64 index numbers more), then against `config.budget`.  A cap
+    or 2^63 raises BoundExceededError at any budget; only a count a
+    larger budget would admit raises BudgetExceededError.  Within the
+    caps every count is an int of at most 3^256; a basic relation's
+    count is known in closed form, so it is checked before the listing.
 
     The gate runs on every call; the search behind it does not read the
     budget and is memoized per (fn, rel)."""
-
-    def refuse(required: int | str, what: str) -> None:
-        if exceeds(required, config.budget):
-            raise BudgetExceededError(required, config.budget, what=what)
-        if exceeds(required, INDEX_LIMIT):
-            raise BoundExceededError(f"{what} needs {state_figure(required)} states, above 2^63")
-
     k = fn.arity
+    check_cells(rel.n, "relation enumeration")
+    check_cells(k, "function table")
+
+    def refuse(required: int, what: str) -> None:
+        if required > INDEX_LIMIT:
+            raise BoundExceededError(f"{what} needs {required} states, above 2^63")
+        if required > config.budget:
+            raise BudgetExceededError(required, config.budget, what=what)
+
     if isinstance(rel, PreseqRel):
         refuse(basic_members(rel, k), "invariance check")
-    refuse(power_count((3, rel.n)), "relation enumeration")
-    check_cells(k, "function table")
-    refuse(power_count((len(member_matrix(rel)), k)), "invariance check")
+    refuse(3**rel.n, "relation enumeration")
+    refuse(len(member_matrix(rel)) ** k, "invariance check")
     return _first_counterexample(fn, rel)
 
 

@@ -168,12 +168,12 @@ def test_long_number_is_a_format_error(capsys, tmp_path, argv, text, line):
 @pytest.mark.parametrize(
     "argv, text, code, message",
     [
-        (["invariance", "zoo:bp", "--relation", "preseq n=10000000 A= B=1"], None, 4,
-         "invariance check needs ~10^14313637 states"),
-        (["invariance", "{file}", "--relation", "preseq n=1 A= B="], "arity 100000000\n", 4,
-         "invariance check needs ~10^47712125 states"),
-        (["invariance", "zoo:bp", "--relation", "seqrel n=10000000 {A=1 B=1}"], None, 4,
-         "relation enumeration needs ~10^4771212 states"),
+        (["invariance", "zoo:bp", "--relation", "preseq n=10000000 A= B=1"], None, 3,
+         "relation enumeration needs 3^10000000 cells, above cell cap 100000000"),
+        (["invariance", "{file}", "--relation", "preseq n=1 A= B="], "arity 100000000\n", 3,
+         "function table needs 3^100000000 cells, above cell cap 100000000"),
+        (["invariance", "zoo:bp", "--relation", "seqrel n=10000000 {A=1 B=1}"], None, 3,
+         "relation enumeration needs 3^10000000 cells, above cell cap 100000000"),
         (["compare", "{file}", "zoo:bp"], "arity 100000000\n", 0, None),
         (["term", "{file}", "--oracle", "zoo:ttdet", "--table-bound", "100000000"],
          "arity 100000000\n(g x1)\n", 3,
@@ -183,9 +183,8 @@ def test_long_number_is_a_format_error(capsys, tmp_path, argv, text, line):
 )
 def test_large_exponent_is_refused_before_its_power(capsys, tmp_path, argv, text, code, message):
     """A relation arity n, a function arity k or a table width is
-    compared with what the limit admits before any 3^n, |R|^k or 3^k is
-    computed, so each command ends at once (a count of more than 4,300
-    digits is written ~10^E)."""
+    compared with what the cell cap admits before any 3^n, |R|^k or 3^k
+    is computed, so each command ends at once, refused at any budget."""
     path = tmp_path / "wide.trace"
     if text is not None:
         path.write_text(text)
@@ -246,13 +245,14 @@ def test_non_ascii_digit_is_input_error(capsys, tmp_path, argv):
         assert "line 2" in err
 
 
-def test_relation_enumeration_over_budget_exits_four(capsys):
-    """A 17-ary relation has 3^17 tuples, above the default budget, so
-    the check stops before enumerating them."""
+def test_relation_enumeration_over_cell_cap_exits_three(capsys):
+    """A 17-ary relation has 3^17 tuples, above the default budget and
+    above the cell cap, so the check stops before enumerating them, on
+    the cap, which no larger budget lifts."""
     b = ",".join(str(i) for i in range(1, 18))
     code, _, err = run(capsys, "invariance", "zoo:bp", "--relation", f"preseq n=17 A= B={b}")
-    assert code == 4
-    assert "relation enumeration" in err
+    assert code == 3
+    assert err == "error: relation enumeration needs 3^17 cells, above cell cap 100000000\n"
 
 
 def test_coherence_bound_overrun_is_input_error(capsys, tmp_path):
@@ -325,6 +325,48 @@ def test_script_bad_input_is_one_error_line(names):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("plevel_census.py", ["--arity", "\uff12"], "argument --arity: not a number in ASCII digits: '\uff12'"),
+    ("plevel_census.py", ["--arity", " 1"], "argument --arity: not a number in ASCII digits: ' 1'"),
+    ("plevel_census.py", ["--arity", "4"], "argument --arity: invalid choice: 4 (choose from 1, 2, 3)"),
+    ("degree_matrix.py", ["--allow_terms"], "unrecognized arguments: --allow_terms"),
+], ids=["fullwidth-arity", "spaced-arity", "arity-choice", "misspelt-flag"])
+def test_script_malformed_command_line_is_one_error_line(script, args, message):
+    """The scripts build their parser with the command line's class and
+    read a flag number by its rule: a malformed command line is one
+    `error:` line and exit 3, as with `parlevel`."""
+    src = str(Path(parlevel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_mapping_search_takes_a_source_up_to_the_coherence_bound(capsys):
+    """gustave_i(8) has 17 trace entries, under the coherence bound of
+    20, and its 3^17 mappings into gustave_i(1) fit a budget of 10^9:
+    the search settles the direction the levels leave open.  The other
+    direction's invariant side needs gustave_i(8)'s 3^17-cell table,
+    which the note names as the cap, not the budget."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "compare", "zoo:gustave_i(8)", "zoo:gustave_i(1)", "--budget", "1000000000",
+        "--json",
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    assert verdict["relation"] == "left_below_strict"
+    assert [c["kind"] for c in verdict["evidence"]] == ["bm_mapping", "separation"]
+    assert verdict["notes"] == [
+        "preseq n=4 A=1,2,3 B=1,2,3,4: invariant side skipped (function table needs "
+        "3^17 cells, above cell cap 100000000), justified by level instead",
+    ]
 
 
 def test_compare_resolved_exit_zero(capsys):
@@ -533,12 +575,13 @@ def test_verify_json(capsys):
     assert all(r["passed"] for r in rows)
 
 
-def test_huge_state_count_is_a_budget_error(capsys):
+def test_huge_relation_is_refused_by_the_cell_cap(capsys):
     """All 3^3100 tuples belong to S^3100 with A = B = {}, so checking a
-    ternary function needs 3^9300 states, a figure of 4,438 digits."""
+    ternary function would need 3^9300 states; the cell cap on the
+    relation's listing refuses it first, whatever the budget."""
     code, _, err = run(capsys, "invariance", "zoo:bp", "--relation", "preseq n=3100 A= B=")
-    assert code == 4
-    assert err == "error: invariance check needs ~10^4437 states, budget allows 100000000\n"
+    assert code == 3
+    assert err == "error: relation enumeration needs 3^3100 cells, above cell cap 100000000\n"
 
 
 @pytest.mark.parametrize(
@@ -548,14 +591,15 @@ def test_huge_state_count_is_a_budget_error(capsys):
         ("bp", "preseq n=14 A= B=", "invariance check", 3**42),
         # a composite's member count is known only after listing its 3^8 tuples
         ("gustave_i(2)", "seqrel n=8 {A= B=}", "invariance check", 3**40),
-        # and listing 3^40 tuples is refused before it starts
+        # and listing 3^40 tuples is refused before it starts, on the cell cap
         ("bp", "seqrel n=40 {A=1 B=1,2}", "relation enumeration", 3**40),
     ],
 )
 def test_count_above_int64_is_a_bound_error(capsys, name, relation, what, states):
     """No int64 index numbers more than 2^63 selections or tuple codes,
     so such a search is refused up front, whatever the budget: a fixed
-    limit, exit 3, named in the message."""
+    limit, exit 3, named in the message.  A listing that large is past
+    the cell cap, which is checked first."""
     assert states > 2**63
     start = time.perf_counter()
     code, _, err = run(
@@ -564,7 +608,11 @@ def test_count_above_int64_is_a_bound_error(capsys, name, relation, what, states
     )
     assert time.perf_counter() - start < 2
     assert code == 3
-    assert err == f"error: {what} needs {states} states, above 2^63\n"
+    n = int(relation.split()[1].removeprefix("n="))
+    if 3**n > 10**8:
+        assert err == f"error: {what} needs 3^{n} cells, above cell cap 100000000\n"
+    else:
+        assert err == f"error: {what} needs {states} states, above 2^63\n"
 
 
 def test_listing_above_cell_cap_is_a_bound_error(capsys):
@@ -634,10 +682,11 @@ def test_function_table_is_refused_before_the_relation_is_listed(capsys, tmp_pat
 def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
     """Under a budget of 10^30, the arity-17 right side's invariance
     under S^3_{3,3} needs about 3.0e22 states, within the budget but past
-    what an int64 index numbers, and bp padded to arity 17 needs a 3^17
-    cell table under the chain relations, above the cell cap: both kinds
-    of skip note quote the fixed limit, and the verdicts and
-    certificates stand."""
+    what an int64 index numbers, and bp padded to arity 17 is searched
+    under the chain relations: each needs a 3^17 cell table, above the
+    cell cap, which is checked before any count.  Every skip note quotes
+    that fixed limit, the certificate still counts the states, and the
+    verdicts and certificates stand."""
     trace = tmp_path / "t17.trace"
     trace.write_text(f"arity 17\nT{'_' * 16} -> T\n")
     code, out, err = run(
@@ -656,8 +705,8 @@ def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
         "function": "t17", "method": "level", "states": 30041942495081691894741
     }
     assert verdict["notes"] == [
-        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check needs "
-        "30041942495081691894741 states, above 2^63), justified by level instead",
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (function table needs "
+        "3^17 cells, above cell cap 100000000), justified by level instead",
     ]
     # t17 respects every pool relation by level; bp padded to arity 17 does not
     code, out, err = run(
@@ -680,7 +729,9 @@ def test_compare_skips_name_the_cap_not_the_budget(capsys, tmp_path):
 
 def test_compare_reports_huge_state_count(capsys, tmp_path):
     """por_i(2) breaks S^3_{3,3}, and the arity-5000 right side's
-    invariance under it would take 21^5000 states, a 6,612-digit figure."""
+    invariance under it would take 21^5000 states, a 6,612-digit figure
+    the certificate reports; the note names the cell cap on its table,
+    which refuses the check first."""
     n = 5000
     trace = tmp_path / "wide.trace"
     trace.write_text(
@@ -695,8 +746,8 @@ def test_compare_reports_huge_state_count(capsys, tmp_path):
     assert code == 2
     assert "Traceback" not in err
     note = (
-        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (invariance check "
-        "needs ~10^6611 states, budget allows 100000000), justified by level instead"
+        "preseq n=3 A=1,2,3 B=1,2,3: invariant side skipped (function table "
+        "needs 3^5000 cells, above cell cap 100000000), justified by level instead"
     )
     assert note in json.loads(out)["notes"]
     [cert] = json.loads(cert_path.read_text())

@@ -190,12 +190,23 @@ def test_bm_search_budget():
 
 
 def test_mapping_bound_error():
-    big = zoo.ntdet(17)
-    with pytest.raises(BoundExceededError, match="mapping bound 16"):
+    big = zoo.ntdet(21)
+    with pytest.raises(BoundExceededError, match="coherence bound 20"):
         check_bm(identity_mapping(big))
     # the bound is checked before the budget
-    with pytest.raises(BoundExceededError, match="mapping bound 16"):
+    with pytest.raises(BoundExceededError, match="coherence bound 20"):
         bm_search(big, big)
+
+
+def test_bm_search_takes_a_source_up_to_the_coherence_bound():
+    """gustave_i(9) has 19 entries, under the coherence bound the
+    mapping search shares with the levels, and its 3^19 raw mappings
+    into gustave_i(1) fit a budget of 10^10."""
+    wide = dataclasses.replace(DEFAULT_CONFIG, budget=10**10)
+    source = zoo.gustave(9)
+    assert source.trace_size == 19
+    mapping = bm_search(source, zoo.gustave(1), wide)
+    assert mapping is not None and check_bm(mapping)
 
 
 def test_cofinal_witness_examples():

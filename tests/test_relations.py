@@ -381,7 +381,7 @@ def test_level_route_counts_states_without_enumerating():
             "mapping search gustave_i(6) -> gustave_i(5) skipped (mapping search "
             "needs 34522712143931 states, budget allows 100000000)",
             f"{strict}: invariant side skipped (invariance check needs {states} states, "
-            "budget allows 100000000), justified by level instead",
+            "above 2^63), justified by level instead",
             "left not below right established; other direction open",
         ],
     }
@@ -389,14 +389,14 @@ def test_level_route_counts_states_without_enumerating():
 
 def test_relation_enumeration_over_budget_raises_at_once():
     """Only three tuples belong to S^17_{{},{1..17}}, but finding them
-    means walking 3^17 tuples, which is above the default budget."""
+    means walking 3^17 tuples, above the default budget and above the
+    cell cap: the cap comes first, so no budget would let it run."""
     wide = rel(17, set(), range(1, 18))
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="relation enumeration") as exc:
+    with pytest.raises(BoundExceededError) as exc:
         invariance_counterexample(zoo.bp(), wide)
     assert time.perf_counter() - start < 1
-    assert exc.value.required == 3**17
-    assert exc.value.allowed == DEFAULT_CONFIG.budget
+    assert str(exc.value) == "relation enumeration needs 3^17 cells, above cell cap 100000000"
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,17 +412,19 @@ def test_relation_enumeration_over_budget_raises_at_once():
 @example(budget=10**21, k=3, n=14, sizes=(0, 0))  # 3^42 states, above 2^63
 @example(budget=10**12, k=25, n=1, sizes=(0, 0))  # function table above the cell cap
 @example(budget=10**9, k=2, n=3, sizes=(3, 3))  # searched
+@example(budget=10**9, k=3, n=14, sizes=(0, 0))  # above 2^63 and the budget
+@example(budget=10**9, k=1, n=30, sizes=(0, 0))  # above the cell cap and the budget
 def test_each_limit_is_refused_by_its_own_rule(budget, k, n, sizes):
-    """A count above the given budget is a budget error naming that
-    budget; within the budget, a listing or table of more than 10^8
-    cells, or more than 2^63 states, is a bound error naming the fixed
-    limit."""
+    """A listing or table of more than 10^8 cells, or more than 2^63
+    states, is a bound error naming the fixed limit, at any budget;
+    under those, a count above the given budget is a budget error
+    naming that budget."""
     a, b = sorted(min(size, n) for size in sizes)
     relation = rel(n, range(1, a + 1), range(1, b + 1))
     fn = zoo.ntdet(k)
     states = basic_members(relation, k)
-    over_budget = states > budget or 3**n > budget and states <= 2**63
     over_cap = states > 2**63 or 3**n > 10**8 or 3**k > 10**8
+    over_budget = not over_cap and (states > budget or 3**n > budget)
     assume(over_budget or over_cap or states <= 10**5)
     config = dataclasses.replace(DEFAULT_CONFIG, budget=budget)
     try:
@@ -431,7 +433,7 @@ def test_each_limit_is_refused_by_its_own_rule(budget, k, n, sizes):
         assert over_budget
         assert exc.allowed == budget and exc.required > budget
     except BoundExceededError as exc:
-        assert over_cap and not over_budget
+        assert over_cap
         assert str(exc).endswith(("above 2^63", "above cell cap 100000000"))
     else:
         assert not over_budget and not over_cap
