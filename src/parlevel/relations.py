@@ -14,12 +14,22 @@ function's output columns, and witness replay
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
 columns; the resulting row must again be a member.  The checker here
-enumerates all |R|^k row selections with a broadcast kernel: a block of
+walks the |R|^k row selections with a broadcast kernel: a block of
 column codes is a decoded prefix of picks plus a precomputed outer sum
 over the last picks.  It returns the first counterexample in
 lexicographic order of the picks, members taken in base-3 code order,
-which makes witnesses deterministic across runs.  The budget gate runs
-on every call; the search behind it is memoized per (function,
+which makes witnesses deterministic across runs.
+
+Coordinates with the same (in A, in B) signature in every conjunct form
+a symmetry class (`symmetry_classes`), and the kernel visits only
+prefixes whose columns are sorted within each class.  Permuting a class
+maps the relation onto itself, so a selection and its permuted copy
+have the same outcome; the first bad selection is the least of its
+copies, and the least copy has its columns sorted within each class, so
+the first witness is the one a walk over all selections finds.  The
+budget, the 2^63 limit and a certificate's `states` still count all
+|R|^k selections the proof covers, not those visited.  The budget gate
+runs on every call; the search behind it is memoized per (function,
 relation), as its result does not depend on the budget.
 """
 
@@ -222,6 +232,32 @@ def member_matrix(rel: Relation) -> np.ndarray:
     return mat
 
 
+def symmetry_classes(rel: Relation) -> tuple[tuple[int, ...], ...]:
+    """The coordinates 1..n grouped by their (in A, in B) signature in
+    every conjunct, each class in increasing order and the classes by
+    their first coordinate.  A permutation within a class maps every
+    conjunct, and so the relation, onto itself."""
+    conjuncts = rel.conjuncts if isinstance(rel, SeqRel) else (rel,)
+    classes: dict[tuple[tuple[bool, bool], ...], list[int]] = {}
+    for i in range(1, rel.n + 1):
+        classes.setdefault(tuple((i in c.a, i in c.b) for c in conjuncts), []).append(i)
+    return tuple(map(tuple, classes.values()))
+
+
+@functools.lru_cache(maxsize=1024)
+def _class_order(rel: Relation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetry classes as the kernel reads them, cached per
+    relation: the 0-based coordinates `lo` and `hi` of each pair of
+    neighbours in a class, and `lead`, the member rows (indices into
+    `member_matrix`) whose trits are nondecreasing along every class."""
+    lo, hi = np.array(
+        [(a - 1, b - 1) for c in symmetry_classes(rel) for a, b in zip(c, c[1:])],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    mem = member_matrix(rel).T
+    return lo, hi, np.flatnonzero((mem[lo] <= mem[hi]).all(axis=0))
+
+
 @dataclass(frozen=True)
 class InvarianceWitness:
     """A replayable counterexample: k member rows whose columnwise image
@@ -285,44 +321,64 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
 
     Slot t of a selection adds its row's trits, times 3^(k-1-t) in intp,
     to the codes of the n columns.  The last s slots, the most with
-    m^s <= CHUNK, are summed once into `suffix`, every pick of them in
-    order; a block of prefixes (the first k - s picks) is decoded when
-    it is reached, its picks gathered from the member matrix, and
-    broadcast against it, so that a block holds at most CHUNK selections
-    in row-major, that is lexicographic, order.  The table looked up at
-    each column's codes gives that output column, and `rel.mask` tests
-    the output rows."""
+    s < k and m^s <= CHUNK, are summed once into `suffix`, every pick of
+    them in order; a block of prefixes (the first k - s picks) is
+    decoded when it is reached, its picks gathered from the member
+    matrix, and broadcast against it, so that a block holds at most
+    CHUNK selections in row-major, that is lexicographic, order.  The
+    table looked up at each column's codes gives that output column,
+    and `rel.mask` tests the output rows.
+
+    Only prefixes whose partial column codes are nondecreasing along
+    every symmetry class (`symmetry_classes`) are visited: the first
+    pick runs over the member rows sorted within each class, and a
+    block of longer prefixes keeps the sorted ones.  The witness is the
+    same as over all selections.  A permutation within a class maps
+    selections to selections of the same outcome, so the first bad
+    selection is the least in its orbit, and the least one has its
+    columns sorted within each class: swapping an out-of-order pair of
+    a class gives a smaller selection.  The gate, the 2^63 limit and a
+    certificate's `states` count all m^k selections the proof covers,
+    not those visited."""
     mem = member_matrix(rel)
     m, n, k = len(mem), rel.n, fn.arity
     table = table_of(fn)
+    lo, hi, lead = _class_order(rel)
     s = 0
-    while s < k and m ** (s + 1) <= CHUNK:
+    while s < k - 1 and m ** (s + 1) <= CHUNK:
         s += 1
     suffix = np.zeros((n, 1), dtype=np.intp)
     for t in range(k - s, k):
         weight = np.multiply(mem.T[:, None, :], 3 ** (k - 1 - t), dtype=np.intp)
         suffix = (suffix[:, :, None] + weight).reshape(n, -1)
     width = suffix.shape[1]
-    prefixes = m ** (k - s)
+    prefixes = len(lead) * m ** (k - s - 1)
     step = CHUNK // width
     for start in range(0, prefixes, step):
         rest = np.arange(start, min(start + step, prefixes))
-        prefix = np.zeros((n, len(rest)), dtype=np.intp)
-        for t in range(k - s - 1, -1, -1):
-            rest, pick = np.divmod(rest, m)
+        picks = np.empty((k - s, len(rest)), dtype=np.intp)
+        for t in range(k - s - 1, 0, -1):
+            rest, picks[t] = np.divmod(rest, m)
+        picks[0] = lead[rest]
+        prefix = np.zeros((n, picks.shape[1]), dtype=np.intp)
+        for t, pick in enumerate(picks):
             prefix += np.multiply(mem[pick].T, 3 ** (k - 1 - t), dtype=np.intp)
+        if k - s > 1 and len(lo):
+            keep = (prefix[lo] <= prefix[hi]).all(axis=0)
+            picks, prefix = picks[:, keep], prefix[:, keep]
         out = [table[(p[:, None] + q).ravel()] for p, q in zip(prefix, suffix)]
         good = rel.mask(out)
         if not good.all():
             bad = int(np.argmin(good))
-            index = start * width + bad
-            picks = []
-            for _ in range(k):
+            kept, index = divmod(bad, width)
+            tail = []
+            for _ in range(s):
                 index, pick = divmod(index, m)
-                picks.append(pick)
+                tail.append(pick)
+            rows = mem[picks[:, kept].tolist() + tail[::-1]]
             return InvarianceWitness(
                 rel,
-                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in mem[picks[::-1]]),
+                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in rows),
                 TriTuple(tuple(Tri(int(col[bad])) for col in out)),
             )
     return None

@@ -47,7 +47,8 @@ from parlevel import (
 )
 from parlevel.errors import state_figure
 from parlevel.lattice import BOT, Tri
-from parlevel.relations import CHUNK, basic_members, member_matrix
+from parlevel.functions import table_of
+from parlevel.relations import CHUNK, basic_members, member_matrix, symmetry_classes
 from test_plevels import random_traces
 
 
@@ -227,20 +228,279 @@ def test_kernel_blocks_split_mid_selection(fn, relation, chunk):
 
 
 def test_kernel_memory_is_a_few_blocks():
-    """ntdet(1) under S^12 with A = B = {}: 3^12 selections of one pick
-    from a 6 MB member matrix.  The kernel holds a few CHUNK-sized
-    blocks of codes and output columns (58 MiB at peak), not intp
-    copies of the members or of the table, which take 103 MiB here."""
-    fn, r = zoo.make("ntdet(1)"), parse_relation("preseq n=12 A= B=")
-    member_matrix(r)
+    """ntdet(1) under two universal relations of arity 12: a 6 MB member
+    matrix of 3^12 rows.  With A = B = {} the twelve coordinates form
+    one class and the kernel visits the 91 sorted rows.  The seqrel
+    puts each coordinate in a class of its own, so all 3^12 selections
+    of one pick are visited: the kernel holds a few CHUNK-sized blocks
+    of codes and output columns (62 MiB at peak), not intp copies of
+    the members or of the table, which take 103 MiB here."""
+    fn = zoo.make("ntdet(1)")
+    asymmetric = "seqrel n=12 " + " ".join(f"{{A= B={i}}}" for i in range(1, 12))
+    for r in map(parse_relation, ["preseq n=12 A= B=", asymmetric]):
+        member_matrix(r)
+        relations._first_counterexample.cache_clear()
+        tracemalloc.start()
+        try:
+            assert invariance_counterexample(fn, r) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20, r
+
+
+def unpruned_counterexamples(fns, relation) -> list[InvarianceWitness | None]:
+    """The broadcast kernel without symmetry pruning, as an oracle, for
+    functions of one arity k: all m^k selections in lexicographic order,
+    at most CHUNK a block, the last s picks (the most with m^s <= CHUNK)
+    a precomputed outer sum and the first k - s decoded block by block.
+    Each block's column codes are built once and looked up in every
+    function's table that has no witness yet."""
+    mem = member_matrix(relation)
+    (k,) = {fn.arity for fn in fns}
+    m, n = len(mem), relation.n
+    s = 0
+    while s < k and m ** (s + 1) <= relations.CHUNK:
+        s += 1
+    suffix = np.zeros((n, 1), dtype=np.intp)
+    for t in range(k - s, k):
+        weight = np.multiply(mem.T[:, None, :], 3 ** (k - 1 - t), dtype=np.intp)
+        suffix = (suffix[:, :, None] + weight).reshape(n, -1)
+    width = suffix.shape[1]
+    prefixes = m ** (k - s)
+    step = relations.CHUNK // width
+    found: list[InvarianceWitness | None] = [None] * len(fns)
+    open_ = list(range(len(fns)))
+    for start in range(0, prefixes, step):
+        rest = np.arange(start, min(start + step, prefixes))
+        prefix = np.zeros((n, len(rest)), dtype=np.intp)
+        for t in range(k - s - 1, -1, -1):
+            rest, pick = np.divmod(rest, m)
+            prefix += np.multiply(mem[pick].T, 3 ** (k - 1 - t), dtype=np.intp)
+        codes = [(p[:, None] + q).ravel() for p, q in zip(prefix, suffix)]
+        for i in list(open_):
+            table = table_of(fns[i])
+            out = [table[c] for c in codes]
+            good = relation.mask(out)
+            if good.all():
+                continue
+            bad = int(np.argmin(good))
+            index = start * width + bad
+            picks = []
+            for _ in range(k):
+                index, pick = divmod(index, m)
+                picks.append(pick)
+            found[i] = InvarianceWitness(
+                relation,
+                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in mem[picks[::-1]]),
+                TriTuple(tuple(Tri(int(col[bad])) for col in out)),
+            )
+            open_.remove(i)
+        if not open_:
+            break
+    return found
+
+
+def test_symmetry_classes_of_the_families():
+    for m in range(1, 6):
+        assert symmetry_classes(canonical_equal(m)) == (tuple(range(1, m + 1)),)
+        assert symmetry_classes(canonical_strict(m)) == (tuple(range(1, m + 1)), (m + 1,))
+    for j in range(2, 7):
+        singles = tuple((i,) for i in range(3, j + 1))
+        assert symmetry_classes(chain_relation(j)) == ((1, 2), *singles)
+    assert symmetry_classes(parse_relation("preseq n=12 A= B=")) == (tuple(range(1, 13)),)
+    assert symmetry_classes(rel(3, {3}, {2, 3})) == ((1,), (2,), (3,))
+
+
+def test_swapping_two_coordinates_of_a_class_keeps_the_members():
+    """The classes partition 1..n, and swapping two coordinates of one
+    class maps the member listing onto itself as a set."""
+    for r in all_basic_relations(4) + [chain_relation(j) for j in range(2, 7)]:
+        classes = symmetry_classes(r)
+        assert sorted(itertools.chain(*classes)) == list(range(1, r.n + 1)), r
+        mem = member_matrix(r)
+        members = set(map(tuple, mem.tolist()))
+        for c in classes:
+            for a, b in itertools.combinations(c, 2):
+                order = list(range(r.n))
+                order[a - 1], order[b - 1] = b - 1, a - 1
+                assert set(map(tuple, mem[:, order].tolist())) == members, (r, a, b)
+
+
+def test_pruned_kernel_finds_the_unpruned_witness_on_every_small_pair():
+    """Every monotone function of arity <= 2 and every catalog function
+    of arity <= 3, against every basic relation of arity <= 4 and the
+    chain pool: the kernel, which visits only prefixes sorted within
+    each symmetry class, returns the first witness of all selections,
+    or None with it."""
+    fns = [*enumerate_monotone(1), *enumerate_monotone(2), *zoo.catalog(max_arity=3)]
+    found = 0
+    for relation in all_basic_relations(4) + list(relations.CHAIN_POOL):
+        for k in (1, 2, 3):
+            group = [fn for fn in fns if fn.arity == k]
+            for fn, expected in zip(group, unpruned_counterexamples(group, relation)):
+                witness = relations._first_counterexample.__wrapped__(fn, relation)
+                assert witness == expected, (fn, relation)
+                found += witness is not None
+    assert (len(fns), found) == (219, 1108)
+
+
+SEARCH_LIMIT = 10_000  # selections per example: 1,430 blocks at CHUNK 7
+# canonical_equal(2) is left out: every monotone function respects it
+SYMMETRIC_FAMILIES = (
+    [canonical_equal(m) for m in range(3, 6)]
+    + [canonical_strict(m) for m in range(2, 5)]
+    + [chain_relation(j) for j in range(3, 6)]
+)
+
+
+@functools.cache
+def two_conjunct_relations(k: int) -> list[SeqRel]:
+    """The intersections of two arity-4 basic relations that have a
+    class of two or more coordinates and m^k <= SEARCH_LIMIT, counted
+    without listing them through the member_matrix cache."""
+    tuples = np.indices((3,) * 4).reshape(4, -1)
+    basic = [r for r in all_basic_relations(4) if r.n == 4]
+    pairs = [SeqRel(pair) for pair in itertools.combinations(basic, 2)]
+    return [
+        r for r in pairs
+        if np.count_nonzero(r.mask(tuples)) ** k <= SEARCH_LIMIT
+        and max(map(len, symmetry_classes(r))) >= 2
+    ]
+
+
+@st.composite
+def symmetric_searches(draw):
+    """A random arity-3/4 trace, or a function with witnesses, and a
+    relation with a class of two or more coordinates whose m^k
+    selections the unpruned kernel walks at a small CHUNK: of the
+    families, canonical_equal(4) to chain4 (55 to 67 members) only
+    for a binary function, canonical_equal(5) to chain5 (163 to 213)
+    never, as the sweep above and the golden cells below search them."""
+    fn = draw(st.one_of(random_traces(arities=(3, 4)), st.sampled_from(NON_SEQUENTIAL)))
+    families = [r for r in SYMMETRIC_FAMILIES if len(member_matrix(r)) ** fn.arity <= SEARCH_LIMIT]
+    pools = [st.sampled_from(two_conjunct_relations(fn.arity))]
+    if families:  # none fits an arity-4 function
+        pools.append(st.sampled_from(families))
+    return fn, draw(st.one_of(pools))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_searches(), st.sampled_from((7, 50)))
+@example(search=(zoo.bp(), canonical_equal(3)), chunk=7)
+@example(search=(zoo.make("ntdet(3)"), canonical_strict(2)), chunk=50)
+@example(search=(zoo.por(2), canonical_equal(4)), chunk=50)
+@example(
+    search=(zoo.bp(), parse_relation("seqrel n=4 {A= B=1,3} {A=1,2,3,4 B=1,2,3,4}")), chunk=7
+)
+@example(
+    search=(zoo.por(3), parse_relation("seqrel n=4 {A=4 B=1,2,3,4} {A=1,2,3 B=1,2,3,4}")), chunk=50
+)
+def test_pruned_kernel_finds_the_unpruned_witness_across_blocks(search, chunk):
+    """At CHUNK 7 a block holds a few selections of up to k picks, at
+    CHUNK 50 a few prefixes of k - 1 picks, so the kept prefixes of one
+    block cross from one first pick to the next.  Few random traces
+    have witnesses; the examples are functions that do, and the last
+    three have first witnesses with two columns of a class equal over
+    the prefix, which a strict sort test would skip."""
+    fn, relation = search
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "CHUNK", chunk)
+        found = relations._first_counterexample.__wrapped__(fn, relation)
+        assert [found] == unpruned_counterexamples([fn], relation)
+
+
+GOLDEN_CELLS = {
+    "gustave_i(1)|bg(2,1)": (
+        "incomparable",
+        [
+            {
+                "relation": "preseq n=4 A=1,2,3 B=1,2,3,4",
+                "witness_inputs": ["_TF_", "TF__", "F_T_"],
+                "witness_output": "TTT_",
+                "invariant_side": {"function": "bg(2,1)", "method": "level", "states": 714924299},
+            },
+            {
+                "relation": "preseq n=5 A=1,2,3,4,5 B=1,2,3,4,5",
+                "witness_inputs": ["_TTFF", "TFF_T", "F_TTF", "TTFF_", "FF_TT"],
+                "witness_output": "FTTTT",
+                "invariant_side": {"function": "gustave_i(1)", "method": "brute", "states": 9663597},
+            },
+        ],
+        [
+            "preseq n=4 A=1,2,3 B=1,2,3,4: invariant side skipped (invariance check needs "
+            "714924299 states, budget allows 100000000), justified by level instead",
+        ],
+    ),
+    "bp+ttdet|por_i(3)": (
+        "incomparable",
+        [
+            {
+                "relation": "preseq n=3 A=1,2,3 B=1,2,3",
+                "witness_inputs": ["TTT", "_TF", "TF_", "F_T"],
+                "witness_output": "TFF",
+                "invariant_side": {"function": "por_i(3)", "method": "brute", "states": 9261},
+            },
+            {
+                "relation": "seqrel n=4 {A=1,2 B=1,2} {A=1,2,3 B=1,2,3} {A=1,2,3,4 B=1,2,3,4}",
+                "witness_inputs": ["_TTF", "T_TF", "TT_F"],
+                "witness_output": "TTTF",
+                "invariant_side": {"function": "sum(bp,ttdet)", "method": "brute", "states": 9150625},
+            },
+        ],
+        [],
+    ),
+    "bg(2,1)|por_i(2)": (
+        "left_below_strict",
+        [
+            {
+                "mapping": [
+                    ["_TFTF -> F", "FF -> F"], ["TF_TF -> T", "_T -> T"], ["TFTF_ -> T", "_T -> T"],
+                    ["F_TFT -> T", "_T -> T"], ["FTF_T -> T", "T_ -> T"],
+                ]
+            },
+            {
+                "relation": "preseq n=3 A=1,2,3 B=1,2,3",
+                "witness_inputs": ["_TF", "T_F"],
+                "witness_output": "TTF",
+                "invariant_side": {"function": "bg(2,1)", "method": "brute", "states": 4084101},
+            },
+        ],
+        [],
+    ),
+    "por_i(2)|gustave_i(2)": (
+        "right_below_strict",
+        [
+            {
+                "mapping": [
+                    ["_TFTF -> T", "_T -> T"], ["TF_TF -> T", "_T -> T"], ["TFTF_ -> T", "_T -> T"],
+                    ["F_TFT -> T", "_T -> T"], ["FTF_T -> T", "T_ -> T"],
+                ]
+            },
+            {
+                "relation": "preseq n=3 A=1,2,3 B=1,2,3",
+                "witness_inputs": ["_TF", "T_F"],
+                "witness_output": "TTF",
+                "invariant_side": {"function": "gustave_i(2)", "method": "brute", "states": 4084101},
+            },
+        ],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS)
+def test_pruned_cells_keep_their_evidence(cell):
+    """The four degree-table cells whose invariant sides the symmetry
+    pruning speeds most keep their verdict, evidence and notes, as the
+    unpruned kernel gave them, with the memo cleared so that every
+    search runs; `states` still counts all m^k selections."""
+    left, right = map(zoo.make, cell.split("|"))
     relations._first_counterexample.cache_clear()
-    tracemalloc.start()
-    try:
-        assert invariance_counterexample(fn, r) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 80 * 2**20
+    verdict = compare(left, right).to_json_dict()
+    assert (
+        verdict["relation"], [e["payload"] for e in verdict["evidence"]], verdict["notes"]
+    ) == GOLDEN_CELLS[cell]
 
 
 def test_budget_gate_runs_on_memo_hits():
