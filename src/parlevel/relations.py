@@ -13,24 +13,31 @@ function's output columns, and witness replay
 
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
-columns; the resulting row must again be a member.  The checker here
-walks the |R|^k row selections with a broadcast kernel: a block of
-column codes is a decoded prefix of picks plus a precomputed outer sum
-over the last picks.  It returns the first counterexample in
-lexicographic order of the picks, members taken in base-3 code order,
-which makes witnesses deterministic across runs.
+columns; the resulting row must again be a member.  The checker returns
+the first counterexample in lexicographic order of the picks, members
+taken in base-3 code order, which makes witnesses deterministic across
+runs, but it walks residual states, not the |R|^k row selections.
+After t picks a column's output depends only on the subfunction of the
+function its first t trits leave (`_residuals` numbers them level by
+level from the table), so a state is the n-tuple of its columns'
+subfunction ids.  Each level adds every member row to every state of the
+level before, in blocks, and keeps each new state only where it first
+occurs; at the last level the states are the output rows, which `mask`
+tests.  Two prefixes that reach one state have the same bad
+continuations, and a state kept at its first occurrence carries its
+lexicographically least prefix, so the first bad output row gives the
+first bad selection.
 
 Coordinates with the same (in A, in B) signature in every conjunct form
-a symmetry class (`symmetry_classes`), and the kernel visits only
-prefixes whose columns are sorted within each class.  Permuting a class
-maps the relation onto itself, so a selection and its permuted copy
-have the same outcome; the first bad selection is the least of its
-copies, and the least copy has its columns sorted within each class, so
-the first witness is the one a walk over all selections finds.  The
-budget, the 2^63 limit and a certificate's `states` still count all
-|R|^k selections the proof covers, not those visited.  The budget gate
-runs on every call; the search behind it is memoized per (function,
-relation), as its result does not depend on the budget.
+a symmetry class (`symmetry_classes`), and the first pick runs only over
+the member rows sorted within each class.  Permuting a class maps the
+relation onto itself, so a selection and its permuted copy have the
+same outcome; the first bad selection is the least of its copies, and
+the least copy has its columns sorted within each class, hence its first
+pick too.  The budget, the 2^63 limit and a certificate's `states` still
+count all |R|^k selections the proof covers, not the states walked.  The
+budget gate runs on every call; the search behind it is memoized per
+(function, relation), as its result does not depend on the budget.
 """
 
 from __future__ import annotations
@@ -204,16 +211,18 @@ def chain_relation(j: int) -> SeqRel:
 # Brute-force invariance
 # ---------------------------------------------------------------------------
 
-CHUNK = 1 << 18  # codes or row selections decoded per vectorized block
+CHUNK = 1 << 18  # codes, or invariance cells (states x members x n), per vectorized block
 INDEX_LIMIT = 2**63  # selections or codes an int64 index can number
 
 
 @functools.lru_cache(maxsize=1024)
 def member_matrix(rel: Relation) -> np.ndarray:
-    """Member tuples as an (m, n) int8 array, sorted by base-3 code:
-    `rel.mask` tests all 3^n tuples, CHUNK codes at a time decoded as
-    columns, and each block's kept codes are decoded again into one
-    preallocated array.  Cached and shared, so read-only.  A listing
+    """Member tuples as an (m, n) int8 array, sorted by base-3 code and
+    stored column-major, so its transpose is the n contiguous columns the
+    invariance search adds: `rel.mask` tests all 3^n tuples, CHUNK codes
+    at a time decoded as columns, and each block's kept codes are
+    decoded again into one preallocated array.  Cached and shared, so
+    read-only.  A listing
     above the cell cap is refused whatever the budget (`check_cells`)."""
     check_cells(rel.n, "relation enumeration")
     total = 3**rel.n
@@ -222,7 +231,7 @@ def member_matrix(rel: Relation) -> np.ndarray:
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total))
         keep[start : start + CHUNK] = rel.mask(np.unravel_index(codes, shape))
-    mat = np.empty((np.count_nonzero(keep), rel.n), dtype=np.int8)
+    mat = np.empty((np.count_nonzero(keep), rel.n), dtype=np.int8, order="F")
     row = 0
     for start in range(0, total, CHUNK):
         codes = start + np.flatnonzero(keep[start : start + CHUNK])
@@ -245,17 +254,110 @@ def symmetry_classes(rel: Relation) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _class_order(rel: Relation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symmetry classes as the kernel reads them, cached per
-    relation: the 0-based coordinates `lo` and `hi` of each pair of
-    neighbours in a class, and `lead`, the member rows (indices into
-    `member_matrix`) whose trits are nondecreasing along every class."""
+def _class_order(rel: Relation) -> np.ndarray:
+    """`lead`, cached per relation: the member rows (indices into
+    `member_matrix`) whose trits are nondecreasing along every symmetry
+    class."""
     lo, hi = np.array(
         [(a - 1, b - 1) for c in symmetry_classes(rel) for a, b in zip(c, c[1:])],
         dtype=np.intp,
     ).reshape(-1, 2).T
     mem = member_matrix(rel).T
-    return lo, hi, np.flatnonzero((mem[lo] <= mem[hi]).all(axis=0))
+    return np.flatnonzero((mem[lo] <= mem[hi]).all(axis=0))
+
+
+def _id_dtype(count: int) -> type:
+    """The smallest signed integer type that numbers `count` ids."""
+    return np.int8 if count <= 2**7 else np.int16 if count <= 2**15 else np.int32
+
+
+def _triple_keys(children: np.ndarray, base: int) -> Iterable[tuple[int, np.ndarray]]:
+    """Each row of `children`, three ids below `base`, as the int64
+    (id0*base + id1)*base + id2, CHUNK rows at a time with the first
+    row's index."""
+    for start in range(0, len(children), CHUNK):
+        c = children[start : start + CHUNK]
+        yield start, (c[:, 0].astype(np.int64) * base + c[:, 1]) * base + c[:, 2]
+
+
+@functools.lru_cache(maxsize=4096)
+def _residuals(fn: MonotoneFn) -> tuple[np.ndarray, ...]:
+    """The subfunctions of fn left by fixing its first t arguments,
+    numbered level by level for t = 0..k, cached per function and
+    read-only.  Entry t is `trans[t]`: `trans[t][3*i + v]` is the id at
+    level t+1 of what level-t subfunction i leaves when its next
+    argument is v.  Level 0 is fn itself, id 0; level k's ids are the
+    output trits, so the last entry gives outputs.
+
+    Built bottom-up from `table_of(fn)`: a level-t subfunction is the
+    triple of its three level-(t+1) children, so a level's ids are the
+    ranks of its distinct triple keys (`_triple_keys`, b the count at
+    level t+1).  The keys present are flagged in a table when there are
+    no more possible keys than prefixes, and sorted otherwise.  Within
+    the cell cap (k <= 16) b is at most 3^13, as level t+1 has at most
+    3^(t+1) prefixes and 3^(3^(k-t-1)) tables, so a key is below 3^39 <
+    2^63.  Keys are formed CHUNK prefixes at a time and ids stored as
+    int8 or int16 where they fit (`_id_dtype`), so no int64 array of the
+    table's size is made."""
+    ids = table_of(fn)
+    trans = []
+    for _ in range(fn.arity):
+        children = ids.reshape(-1, 3)
+        base = int(ids.max()) + 1
+        if base**3 <= len(children):
+            hit = np.zeros(base**3, dtype=bool)
+            for _, key in _triple_keys(children, base):
+                hit[key] = True
+            found = np.flatnonzero(hit)
+            rank = (np.cumsum(hit) - 1).take
+        else:
+            keys = (np.unique(key) for _, key in _triple_keys(children, base))
+            found = functools.reduce(np.union1d, keys)
+            rank = functools.partial(np.searchsorted, found)
+        ids = np.empty(len(children), dtype=_id_dtype(len(found)))
+        for start, key in _triple_keys(children, base):
+            ids[start : start + CHUNK] = rank(key)
+        level = np.stack((found // base**2, found // base % base, found % base), axis=1)
+        trans.append(level.astype(children.dtype).ravel())
+        trans[-1].flags.writeable = False
+    return tuple(reversed(trans))
+
+
+def _first_states(
+    states: np.ndarray, count: int, seen: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions, in increasing order, of the first occurrences of
+    the distinct states among the columns of `states` whose keys are not
+    in `seen`, the keys of the states an earlier block of the level kept;
+    and `seen` with their keys added.
+
+    A state's key is exact: its n ids, each below `count`, read as
+    base-`count` digits, as many to an int64 word as keep the word below
+    2^63, and the words of a state viewed as one structured scalar when
+    there is more than one.  Equal keys sort next to each other; the
+    least position in each run is a first occurrence."""
+    n = len(states)
+    per_word = 1
+    while per_word < n and count ** (per_word + 1) <= INDEX_LIMIT:
+        per_word += 1
+    weights = np.zeros((-(-n // per_word), n), dtype=np.int64)
+    for j in range(n):
+        weights[j // per_word, j] = count ** (per_word - 1 - j % per_word)
+    words = np.dot(weights, states)
+    if len(words) == 1:
+        keys = words[0]
+    else:
+        fields = np.dtype([(f"w{i}", np.int64) for i in range(len(words))])
+        keys = np.ascontiguousarray(words.T).view(fields).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = np.minimum.reduceat(order, runs)
+    first.sort()
+    if seen is None:
+        return first, keys[first]
+    first = first[~np.isin(keys[first], seen)]
+    return first, np.concatenate((seen, keys[first]))
 
 
 @dataclass(frozen=True)
@@ -314,73 +416,104 @@ def invariance_counterexample(
     return _first_counterexample(fn, rel)
 
 
+def _walk_back(
+    rel: Relation, lead: np.ndarray, origins: list[np.ndarray], bad: int, output: np.ndarray
+) -> InvarianceWitness:
+    """The witness of candidate `bad` of the last level, whose output
+    row is `output`.  A candidate's number is parent * m + pick; the
+    first level's one parent is fn's state, so its numbers are places in
+    `lead`.  origins[t] holds, for each state kept at level t+1, the
+    number of the candidate it came from."""
+    mem = member_matrix(rel)
+    picks = []
+    for origin in reversed(origins):
+        bad, pick = divmod(bad, len(mem))
+        picks.append(pick)
+        bad = int(origin[bad])
+    picks.append(int(lead[bad]))
+    return InvarianceWitness(
+        rel,
+        tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in mem[picks[::-1]]),
+        TriTuple(tuple(map(Tri, output.tolist()))),
+    )
+
+
 @functools.lru_cache(maxsize=4096)
 def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | None:
     """The first of the m^k row selections, in lexicographic order of
     their picks, whose columnwise image leaves the relation.
 
-    Slot t of a selection adds its row's trits, times 3^(k-1-t) in intp,
-    to the codes of the n columns.  The last s slots, the most with
-    s < k and m^s <= CHUNK, are summed once into `suffix`, every pick of
-    them in order; a block of prefixes (the first k - s picks) is
-    decoded when it is reached, its picks gathered from the member
-    matrix, and broadcast against it, so that a block holds at most
-    CHUNK selections in row-major, that is lexicographic, order.  The
-    table looked up at each column's codes gives that output column,
-    and `rel.mask` tests the output rows.
+    The walk goes over residual states, not selections.  After t picks,
+    column j's output depends only on the subfunction of fn its first t
+    trits leave (`_residuals`), so a state is the n-tuple of those
+    subfunction ids, one per column, and level 0 is one state, fn in
+    every column.  Level t+1's candidates are the level-t states, in
+    order, each with every member row, in order: candidate
+    parent * m + pick.  A block is an outer sum of a slice of states and
+    a slice of members, at most CHUNK cells (states x members x n) or
+    part of one state's row, looked up in `trans[t]`.  A candidate state
+    is kept only where it first occurs (`_first_states`; a state first
+    met in an earlier block is dropped), with its candidate number for
+    the walk back.  A level whose `trans` is one-to-one keeps all its
+    candidates, as it maps distinct states to distinct states.  At the
+    last level the states are the
+    output rows: `rel.mask` tests them, and the first bad one is walked
+    back through the kept candidate numbers to its picks (`_walk_back`).
 
-    Only prefixes whose partial column codes are nondecreasing along
-    every symmetry class (`symmetry_classes`) are visited: the first
-    pick runs over the member rows sorted within each class, and a
-    block of longer prefixes keeps the sorted ones.  The witness is the
-    same as over all selections.  A permutation within a class maps
-    selections to selections of the same outcome, so the first bad
-    selection is the least in its orbit, and the least one has its
-    columns sorted within each class: swapping an out-of-order pair of
-    a class gives a smaller selection.  The gate, the 2^63 limit and a
-    certificate's `states` count all m^k selections the proof covers,
-    not those visited."""
-    mem = member_matrix(rel)
-    m, n, k = len(mem), rel.n, fn.arity
-    table = table_of(fn)
-    lo, hi, lead = _class_order(rel)
-    s = 0
-    while s < k - 1 and m ** (s + 1) <= CHUNK:
-        s += 1
-    suffix = np.zeros((n, 1), dtype=np.intp)
-    for t in range(k - s, k):
-        weight = np.multiply(mem.T[:, None, :], 3 ** (k - 1 - t), dtype=np.intp)
-        suffix = (suffix[:, :, None] + weight).reshape(n, -1)
-    width = suffix.shape[1]
-    prefixes = len(lead) * m ** (k - s - 1)
-    step = CHUNK // width
-    for start in range(0, prefixes, step):
-        rest = np.arange(start, min(start + step, prefixes))
-        picks = np.empty((k - s, len(rest)), dtype=np.intp)
-        for t in range(k - s - 1, 0, -1):
-            rest, picks[t] = np.divmod(rest, m)
-        picks[0] = lead[rest]
-        prefix = np.zeros((n, picks.shape[1]), dtype=np.intp)
-        for t, pick in enumerate(picks):
-            prefix += np.multiply(mem[pick].T, 3 ** (k - 1 - t), dtype=np.intp)
-        if k - s > 1 and len(lo):
-            keep = (prefix[lo] <= prefix[hi]).all(axis=0)
-            picks, prefix = picks[:, keep], prefix[:, keep]
-        out = [table[(p[:, None] + q).ravel()] for p, q in zip(prefix, suffix)]
-        good = rel.mask(out)
-        if not good.all():
-            bad = int(np.argmin(good))
-            kept, index = divmod(bad, width)
-            tail = []
-            for _ in range(s):
-                index, pick = divmod(index, m)
-                tail.append(pick)
-            rows = mem[picks[:, kept].tolist() + tail[::-1]]
-            return InvarianceWitness(
-                rel,
-                tuple(TriTuple(tuple(map(Tri, row.tolist()))) for row in rows),
-                TriTuple(tuple(Tri(int(col[bad])) for col in out)),
-            )
+    Why the witness is the first bad selection: two prefixes that reach
+    one state have the same bad continuations.  The least prefix to
+    reach a state extends the least prefix of its parent's state, so
+    states kept in order of first occurrence each carry their least
+    prefix, and the first bad output row, reached from the least
+    prefix of its state, is the first bad selection.
+
+    The first pick runs over `lead` only, the member rows sorted within
+    each symmetry class (`symmetry_classes`), and those states are kept
+    unmerged.  A permutation within a class maps selections to
+    selections of the same outcome, so the first bad selection is the
+    least in its orbit, and the least one has its columns sorted within
+    each class (swapping an out-of-order pair of a class gives a smaller
+    selection), so its first pick is in `lead`.  The gate, the 2^63
+    limit and a certificate's `states` count all m^k selections the
+    proof covers, not the states walked."""
+    cols = member_matrix(rel).T  # contiguous: the matrix is column-major
+    n, k = rel.n, fn.arity
+    lead = _class_order(rel)
+    residuals = _residuals(fn)
+    states = np.zeros((n, 1), dtype=np.int8)  # level 0: fn in every column
+    origins: list[np.ndarray] = []  # per level, the candidate each state came from
+    for t, trans in enumerate(residuals):
+        last = t == k - 1
+        rows = cols.take(lead, axis=1) if t == 0 else cols
+        size = rows.shape[1]
+        width = min(size, max(1, CHUNK // n))
+        height = max(1, CHUNK // (size * n))
+        count = None if last else len(residuals[t + 1]) // 3
+        seen = None
+        kept: list[tuple[np.ndarray, np.ndarray]] = []
+        for a in range(0, states.shape[1], height):
+            shifted = np.multiply(states[:, a : a + height, None], 3, dtype=np.intp)
+            for c in range(0, size, width):
+                # candidate (state a + i, row c + j) is number a*size + c + q
+                # of the level, q its place in the block: the block holds
+                # whole rows of members, or one state
+                block = trans.take(shifted + rows[:, None, c : c + width]).reshape(n, -1)
+                if last:
+                    good = rel.mask(block)
+                    if good.all():
+                        continue
+                    bad = int(np.argmin(good))
+                    return _walk_back(rel, lead, origins, a * size + c + bad, block[:, bad])
+                if t == 0 or count == len(trans):  # first picks, or one-to-one
+                    first = np.arange(block.shape[1])
+                else:
+                    first, seen = _first_states(block, count, seen)
+                    block = block[:, first]
+                kept.append((block, first + (a * size + c)))
+        if not last:
+            blocks, firsts = zip(*kept)
+            states = np.concatenate(blocks, axis=1)
+            origins.append(np.concatenate(firsts))
     return None
 
 

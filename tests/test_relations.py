@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -28,6 +29,7 @@ from parlevel import (
     PreseqRel,
     SeqRel,
     SoundnessError,
+    TraceEntry,
     TriTuple,
     canonical_equal,
     canonical_strict,
@@ -43,11 +45,13 @@ from parlevel import (
     p_level,
     parse_relation,
     parse_relation_file,
+    trace_from_table,
+    validate_trace,
     zoo,
 )
 from parlevel.errors import state_figure
 from parlevel.lattice import BOT, Tri
-from parlevel.functions import table_of
+from parlevel.functions import monotone_tables, table_of
 from parlevel.relations import CHUNK, basic_members, member_matrix, symmetry_classes
 from test_plevels import random_traces
 
@@ -214,11 +218,12 @@ NON_SEQUENTIAL = zoo.catalog(max_arity=3) + [
     st.sampled_from((7, 50)),
 )
 def test_kernel_blocks_split_mid_selection(fn, relation, chunk):
-    """With CHUNK below m^k, a block holds a few whole selections that
-    cross from one prefix to the next (CHUNK < m), or several prefixes
-    of fewer than k picks, each broadcast against every suffix.  The
-    arity-3 relations that give witnesses have 17 or 21 members, so at
-    CHUNK 50 a block holds two prefixes.  The memo is cleared so that
+    """With CHUNK below a level's cells (states x members x n), the
+    level runs in several blocks: part of one state's row of members
+    (CHUNK < m*n, as at CHUNK 7, and at CHUNK 50 for the arity-3
+    relations that give witnesses, with 17 or 21 members), or the whole
+    rows of a few states.  `test_oracle_searches_split_levels_across_blocks`
+    checks that merged levels split too.  The memo is cleared so that
     the search runs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(relations, "CHUNK", chunk)
@@ -231,18 +236,25 @@ def test_kernel_memory_is_a_few_blocks():
     """ntdet(1) under two universal relations of arity 12: a 6 MB member
     matrix of 3^12 rows.  With A = B = {} the twelve coordinates form
     one class and the kernel visits the 91 sorted rows.  The seqrel
-    puts each coordinate in a class of its own, so all 3^12 selections
-    of one pick are visited: the kernel holds a few CHUNK-sized blocks
-    of codes and output columns (62 MiB at peak), not intp copies of
-    the members or of the table, which take 103 MiB here."""
-    fn = zoo.make("ntdet(1)")
+    puts each coordinate in a class of its own, so all 3^12 rows are
+    first picks: the kernel holds their int8 columns and a few
+    CHUNK-sized blocks (9 MiB at peak), not intp copies of the members
+    or of the table, which take 103 MiB here.  The binary ttdet under
+    the universal relation of arity 11 walks its 78 first-pick states
+    against all 3^11 rows, 152M cells in all, at the same bound."""
     asymmetric = "seqrel n=12 " + " ".join(f"{{A= B={i}}}" for i in range(1, 12))
-    for r in map(parse_relation, ["preseq n=12 A= B=", asymmetric]):
+    wide = dataclasses.replace(DEFAULT_CONFIG, budget=3**22)
+    searches = [
+        (zoo.make("ntdet(1)"), parse_relation("preseq n=12 A= B="), DEFAULT_CONFIG),
+        (zoo.make("ntdet(1)"), parse_relation(asymmetric), DEFAULT_CONFIG),
+        (zoo.make("ttdet"), parse_relation("preseq n=11 A= B="), wide),
+    ]
+    for fn, r, config in searches:
         member_matrix(r)
         relations._first_counterexample.cache_clear()
         tracemalloc.start()
         try:
-            assert invariance_counterexample(fn, r) is None
+            assert invariance_counterexample(fn, r, config) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -301,6 +313,109 @@ def unpruned_counterexamples(fns, relation) -> list[InvarianceWitness | None]:
     return found
 
 
+def residual_table(fn) -> np.ndarray:
+    """fn's output at every input code, walked through `_residuals` one
+    trit at a time from the root subfunction."""
+    ids = np.zeros(3**fn.arity, dtype=np.intp)
+    for trans, trits in zip(relations._residuals(fn), np.indices((3,) * fn.arity)):
+        ids = trans[3 * ids + trits.ravel()]
+    return ids
+
+
+def test_residuals_reproduce_the_table():
+    """Every monotone function of arity <= 2, a seeded sample of arity
+    3 and the catalog: walking the residual ids gives `table_of` at
+    every input code, and a level's ids fit its dtype."""
+    tables = monotone_tables(3)
+    rows = random.Random(33).sample(range(len(tables)), 300)
+    sample = [trace_from_table(3, tables[i]) for i in rows]
+    for fn in [*enumerate_monotone(1), *enumerate_monotone(2), *sample, *zoo.catalog()]:
+        residuals = relations._residuals(fn)
+        assert residual_table(fn).tolist() == table_of(fn).tolist(), fn
+        assert len(residuals[0]) == 3 and residuals[-1].max() <= 2, fn
+        for trans, children in zip(residuals, residuals[1:]):
+            assert trans.max() < len(children) // 3 <= np.iinfo(trans.dtype).max + 1, fn
+
+
+def test_residual_counts():
+    """Distinct subfunctions per level, from fn itself at level 0 down
+    to the functions of one argument."""
+    counts = {"bp+ttdet": [1, 3, 5, 7], "bg(2,1)": [1, 3, 5, 6, 6], "ntdet(3)": [1, 2, 2]}
+    for name, expected in counts.items():
+        assert [len(trans) // 3 for trans in relations._residuals(zoo.make(name))] == expected
+
+
+def test_state_keys_cannot_collide():
+    """Fourteen ids below 29 overflow an int64 read as base-29 digits:
+    the digits of 2^64 would wrap to the key of the zero state.  The
+    kernel's keys keep the two states apart and find each one first
+    where it first occurs."""
+    digits, rest = [], 2**64
+    while rest:
+        rest, digit = divmod(rest, 29)
+        digits.append(digit)
+    wrapped = np.array(digits[::-1], dtype=np.int8)
+    assert len(wrapped) == 14 and 29**14 > 2**63
+    weights = 29 ** np.arange(13, -1, -1, dtype=np.uint64)
+    assert int(np.dot(weights, wrapped.astype(np.uint64))) == 0  # a 64-bit sum wraps
+    states = np.stack([wrapped, np.zeros(14, dtype=np.int8), wrapped, wrapped[::-1]], axis=1)
+    first, keys = relations._first_states(states, 29, None)
+    assert first.tolist() == [0, 1, 3] and len(set(keys.tolist())) == 3
+    first, keys = relations._first_states(states[:, ::-1], 29, keys)
+    assert first.tolist() == [] and len(keys) == 3
+
+
+def test_wide_states_match_the_oracle():
+    """A seeded all-total trace of arity 8 has 29 subfunctions at level
+    5, and a state of a 14-ary relation is then 14 ids whose base-29
+    reading passes 2^63, so the keys take two words: the search agrees
+    with the unpruned oracle (None: a function defined only on total
+    inputs is strict in every argument)."""
+    rng = random.Random(0)
+    total = itertools.product((Tri.TT, Tri.FF), repeat=8)
+    fn = validate_trace(8, [TraceEntry(TriTuple(x), rng.choice((Tri.TT, Tri.FF))) for x in total])
+    assert [len(trans) // 3 for trans in relations._residuals(fn)] == [1, 3, 5, 9, 17, 29, 17, 5]
+    relation = parse_relation("seqrel n=14 {A= B=2,3,4,5,6,7,8,9,10,11,12,13,14} {A=1 B=1,2}")
+    assert len(member_matrix(relation)) == 5
+    assert [relations._first_counterexample.__wrapped__(fn, relation)] == unpruned_counterexamples(
+        [fn], relation
+    )
+
+
+@pytest.mark.parametrize("chunk", (7, 50))
+def test_oracle_searches_split_levels_across_blocks(chunk):
+    """At the CHUNKs of the oracle tests above, the merged levels of the
+    arity-3 non-sequential functions under the arity-3 families run in
+    more than one block (`_first_states` is called once a block), and a
+    state first met in one block is dropped when it recurs in a later
+    one: the searches keep as many states as at the default CHUNK, where
+    each level is one block, and their witnesses stay the oracle's."""
+    fns = [fn for fn in NON_SEQUENTIAL if fn.arity == 3]
+    searches = 0
+    for relation in (canonical_equal(3), canonical_strict(2), chain_relation(3)):
+        for fn in fns:
+            sizes = [len(trans) for trans in relations._residuals(fn)]
+            merged = sum(size > below // 3 for size, below in zip(sizes[1:-1], sizes[2:]))
+            kept = {}
+            for size in (chunk, CHUNK):
+                kept[size] = []
+
+                def spy(states, count, seen, real=relations._first_states, log=kept[size]):
+                    first, seen = real(states, count, seen)
+                    log.append(len(first))
+                    return first, seen
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(relations, "CHUNK", size)
+                    patch.setattr(relations, "_first_states", spy)
+                    found = relations._first_counterexample.__wrapped__(fn, relation)
+                assert found == oracle_counterexample(fn, relation), (fn, relation)
+            assert len(kept[CHUNK]) == merged and len(kept[chunk]) > merged, (fn, relation)
+            assert sum(kept[chunk]) == sum(kept[CHUNK]), (fn, relation)
+            searches += bool(merged)
+    assert searches == 15
+
+
 def test_symmetry_classes_of_the_families():
     for m in range(1, 6):
         assert symmetry_classes(canonical_equal(m)) == (tuple(range(1, m + 1)),)
@@ -330,9 +445,9 @@ def test_swapping_two_coordinates_of_a_class_keeps_the_members():
 def test_pruned_kernel_finds_the_unpruned_witness_on_every_small_pair():
     """Every monotone function of arity <= 2 and every catalog function
     of arity <= 3, against every basic relation of arity <= 4 and the
-    chain pool: the kernel, which visits only prefixes sorted within
-    each symmetry class, returns the first witness of all selections,
-    or None with it."""
+    chain pool: the kernel, which walks residual states from first
+    picks sorted within each symmetry class, returns the first witness
+    of all selections, or None with it."""
     fns = [*enumerate_monotone(1), *enumerate_monotone(2), *zoo.catalog(max_arity=3)]
     found = 0
     for relation in all_basic_relations(4) + list(relations.CHAIN_POOL):
@@ -397,12 +512,12 @@ def symmetric_searches(draw):
     search=(zoo.por(3), parse_relation("seqrel n=4 {A=4 B=1,2,3,4} {A=1,2,3 B=1,2,3,4}")), chunk=50
 )
 def test_pruned_kernel_finds_the_unpruned_witness_across_blocks(search, chunk):
-    """At CHUNK 7 a block holds a few selections of up to k picks, at
-    CHUNK 50 a few prefixes of k - 1 picks, so the kept prefixes of one
-    block cross from one first pick to the next.  Few random traces
-    have witnesses; the examples are functions that do, and the last
-    three have first witnesses with two columns of a class equal over
-    the prefix, which a strict sort test would skip."""
+    """At CHUNK 7 a block holds part of one state's row of members, at
+    CHUNK 50 the row or the rows of a few states, so a level's states
+    cross from one block to the next.  Few random traces have
+    witnesses; the examples are functions that do, and the last three
+    have first witnesses with two columns of a class equal over a
+    prefix of picks."""
     fn, relation = search
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(relations, "CHUNK", chunk)
