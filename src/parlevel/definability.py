@@ -290,10 +290,12 @@ def _try_term_route(
     from the one below, and the bivalued cyclic rotations.  The chain's
     steps are inlined into one term of the source's arity, so a source
     above the table bound is refused before any term is built.  The
-    evaluation fills 3^k cells for each oracle call of that term, the
-    product of the steps' calls; more cells than the budget is a
-    BudgetExceededError, raised before the chain is inlined and after
-    the cell cap on the source's table (`check_cells`)."""
+    route's budget count is 3^k cells for each oracle call of that
+    term, the product of the steps' calls: an upper bound on the work,
+    as evaluation computes each distinct subterm once.  A count above
+    the budget is a BudgetExceededError, raised before the chain is
+    inlined and after the cell cap on the source's table
+    (`check_cells`)."""
     if f.arity > config.table_bound:
         return None
 

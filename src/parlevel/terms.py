@@ -13,6 +13,7 @@ proves the result monotone).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -86,16 +87,21 @@ def eval_term(
     term: Term, oracle: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> MonotoneFn:
     """Tabulate the term over all 3^k inputs at once, one trit column
-    per node: a variable is its coordinate of the (3,)*k cube, a
-    constant is constant, and the oracle and the connectives alike look
-    their table up at the codes the argument columns spell.  Rebuilding
-    the trace from the root column re-checks monotonicity rather than
-    assuming it.  Each table built, the term's, the oracle's and each
-    alleq's, is bounded by `table_bound` and then by the cell cap
-    (`functions.check_cells`).  The one pre-order walk that builds the
-    columns also checks the term: each variable's index, each
-    application's symbol and argument count, and an alleq's bound before
-    it is built."""
+    per distinct subterm: a variable is its coordinate of the (3,)*k
+    cube, a constant is constant, and the oracle and the connectives
+    alike look their table up at the codes the argument columns spell.
+    Rebuilding the trace from the root column re-checks monotonicity
+    rather than assuming it.  Each table built, the term's, the
+    oracle's and each alleq's, is bounded by `table_bound` and then by
+    the cell cap (`functions.check_cells`).
+
+    Two phases.  One pre-order walk checks the term, each variable's
+    index, each application's symbol and argument count, and an alleq's
+    bound before the arguments under it, so the first fault in pre-order
+    is the one raised; it numbers each distinct subterm in post-order,
+    an application keyed by its symbol and its arguments' numbers.  Then
+    the columns are computed in that order, each once, and each is
+    dropped after its last use."""
 
     def check_table(width: int, what: str) -> None:
         if width > config.table_bound:
@@ -105,40 +111,64 @@ def eval_term(
     k = term.arity
     check_table(k, f"term arity {k}")
     check_table(oracle.arity, f"oracle arity {oracle.arity}")
-    coords = np.indices((3,) * k, dtype=np.int8).reshape(k, -1)
 
-    def function(node: App) -> MonotoneFn:
-        n = len(node.args)
-        if node.fn == ORACLE:
+    @functools.cache  # each symbol and argument count checked and resolved once
+    def function(symbol: str, n: int) -> MonotoneFn:
+        if symbol == ORACLE:
             if n != oracle.arity:
                 raise TermArityError(
                     f"oracle applied to {n} arguments, oracle arity is {oracle.arity}"
                 )
             return oracle
-        if node.fn == ALLEQ:
+        if symbol == ALLEQ:
             if not n:
                 raise TermArityError(f"{ALLEQ} needs at least one argument")
             check_table(n, f"{ALLEQ} over {n} arguments")
             return alleq(n)
-        fn = CONNECTIVES.get(node.fn)
+        fn = CONNECTIVES.get(symbol)
         if fn is None:
-            raise TermArityError(f"unknown symbol {node.fn!r}")
+            raise TermArityError(f"unknown symbol {symbol!r}")
         if n != fn.arity:
-            raise TermArityError(f"{node.fn} takes {fn.arity} arguments, got {n}")
+            raise TermArityError(f"{symbol} takes {fn.arity} arguments, got {n}")
         return fn
 
-    def column(node: Node) -> np.ndarray:
-        if isinstance(node, Var):
-            if not 1 <= node.index <= k:
-                raise TermArityError(f"variable x{node.index} outside 1..{k}")
-            return coords[node.index - 1]
-        if isinstance(node, Const):
-            return np.full(3**k, node.value, dtype=np.int8)
-        fn = function(node)
-        args = [column(a) for a in node.args]
-        return table_of(fn)[np.ravel_multi_index(args, (3,) * fn.arity)]
+    # step i computes subterm i from the earlier subterms `args`: a leaf
+    # (Var or Const) from nothing, an application by its function's table
+    ids: dict[object, int] = {}
+    steps: list[tuple[object, tuple[int, ...]]] = []
 
-    return trace_from_table(k, column(term.root))
+    def number(node: Node) -> int:
+        if isinstance(node, App):
+            op: object = function(node.fn, len(node.args))
+            args = tuple(number(a) for a in node.args)
+            key: object = (node.fn, args)
+        else:
+            if isinstance(node, Var) and not 1 <= node.index <= k:
+                raise TermArityError(f"variable x{node.index} outside 1..{k}")
+            key, op, args = node, node, ()
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(steps)
+            steps.append((op, args))
+        return i
+
+    root = number(term.root)
+    last_use = {a: i for i, (_, args) in enumerate(steps) for a in args}
+    coords = np.indices((3,) * k, dtype=np.int8).reshape(k, -1)
+    columns: dict[int, np.ndarray] = {}
+    for i, (op, args) in enumerate(steps):
+        if isinstance(op, Var):
+            columns[i] = coords[op.index - 1]
+        elif isinstance(op, Const):
+            columns[i] = np.full(3**k, op.value, dtype=np.int8)
+        else:
+            columns[i] = table_of(op)[
+                np.ravel_multi_index([columns[a] for a in args], (3,) * op.arity)
+            ]
+            for a in args:
+                if last_use[a] == i:
+                    columns.pop(a, None)
+    return trace_from_table(k, columns[root])
 
 
 def oracle_calls(node: Node) -> int:

@@ -4,6 +4,7 @@ file format."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from parlevel import (
     zoo,
 )
 from parlevel.functions import NESTING_BOUND
+from parlevel import terms
 from parlevel.terms import ALLEQ, CONNECTIVES, ORACLE, alleq
 from test_lattice import all_tuples
 
@@ -263,6 +265,70 @@ def test_eval_checks_in_its_one_pre_order_walk():
         eval_term(before, zoo.ttdet())
 
 
+def test_eval_checks_in_pre_order_under_sharing():
+    """A repeated subterm is computed once but walked at each place, so
+    the first fault in pre-order is still the one raised."""
+    twice = parse_term("arity 2\n(and (g x1 x1) (and (g x1 x1) x3))\n")
+    with pytest.raises(TermArityError, match=r"^variable x3 outside 1\.\.2$"):
+        eval_term(twice, zoo.ttdet())
+    # the alleq above the bound raises before x3 under it is walked
+    wide = parse_term("arity 2\n(and (g x1 x1) (alleq (g x1 x1) x3 x3 x3 x3 x3 x3))\n")
+    with pytest.raises(BoundExceededError, match="^alleq over 7 arguments above table bound 6$"):
+        eval_term(wide, zoo.ttdet())
+    with pytest.raises(TermArityError, match=r"^variable x3 outside 1\.\.2$"):
+        eval_term(wide, zoo.ttdet(), WIDE)
+    # a fault in the first copy comes before the shared one's second use
+    first = parse_term("arity 2\n(or (g x1 x1 x1) (g x1 x1 x1))\n")
+    with pytest.raises(TermArityError, match="^oracle applied to 3 arguments, oracle arity is 2$"):
+        eval_term(first, zoo.ttdet())
+
+
+def _por_chain(first: int, last: int) -> Term:
+    term = por_step_term(first)
+    for mid in range(first + 1, last):
+        term = inline_oracle(por_step_term(mid), term)
+    return term
+
+
+def test_eval_term_looks_up_each_distinct_application_once(monkeypatch):
+    term = _por_chain(2, 6)
+
+    def applications(node, seen):
+        if isinstance(node, App):
+            seen.add(terms.format_node(node))
+            for a in node.args:
+                applications(a, seen)
+        return seen
+
+    assert terms.oracle_calls(term.root) == 360
+    assert len(applications(term.root, set())) == 57
+    looked_up = []
+    table_of = terms.table_of
+    monkeypatch.setattr(terms, "table_of", lambda fn: looked_up.append(fn) or table_of(fn))
+    assert eval_term(term, zoo.por(2)) == zoo.por(6)
+    assert len(looked_up) == 57
+
+
+def test_eval_term_frees_each_column_after_its_last_use():
+    """150 distinct nested negations at arity 10: the peak holds a few
+    3^10-cell columns (the (3,)*10 coordinates are 10 int8 columns and
+    one int64 index is 8), not the 150 that keeping every column needs."""
+    node = Var(1)
+    for _ in range(150):
+        node = App("not", (node,))
+    term = Term(10, node)
+    config = dataclasses.replace(DEFAULT_CONFIG, table_bound=10)
+    eval_term(term, zoo.ttdet(), config)  # fill the table caches first
+    tracemalloc.start()
+    try:
+        result = eval_term(term, zoo.ttdet(), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 3**10
+    assert result == eval_term(Term(10, Var(1)), zoo.ttdet(), config)
+
+
 # ---------------------------------------------------------------------------
 # Properties: the table-lookup evaluator against a per-tuple interpreter
 # written from the connectives' definitions
@@ -300,12 +366,15 @@ def eval_by_definition(term, oracle):
 
 
 @st.composite
-def random_terms(draw, oracle_arity, arity=None, max_depth=3):
+def random_terms(draw, oracle_arity, arity=None, max_depth=3, shared=None):
+    """A random term; given `shared`, a leaf may be that subterm."""
     k = arity if arity is not None else draw(st.integers(1, 4))
 
     def node(depth):
         kinds = ["var", "const", "app"] if depth < max_depth else ["var", "const"]
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(kinds + ["shared"] * (shared is not None)))
+        if kind == "shared":
+            return shared
         if kind == "var":
             return Var(draw(st.integers(1, k)))
         if kind == "const":
@@ -330,6 +399,24 @@ oracle_and_term = st.sampled_from(ORACLES).flatmap(
 @settings(deadline=None)
 @given(oracle_and_term)
 def test_eval_term_equals_per_tuple_interpreter(case):
+    oracle, term = case
+    assert eval_term(term, oracle) == eval_by_definition(term, oracle)
+
+
+@st.composite
+def terms_reusing_a_subterm(draw):
+    """A subterm reused in several argument slots: as the condition and
+    the else branch of the root, and as leaves of the then branch."""
+    oracle = draw(st.sampled_from(ORACLES))
+    k = draw(st.integers(1, 4))
+    shared = draw(random_terms(oracle.arity, arity=k, max_depth=2)).root
+    body = draw(random_terms(oracle.arity, arity=k, shared=shared)).root
+    return oracle, Term(k, App("ite", (shared, body, shared)))
+
+
+@settings(deadline=None)
+@given(terms_reusing_a_subterm())
+def test_eval_term_with_shared_subterms_equals_per_tuple_interpreter(case):
     oracle, term = case
     assert eval_term(term, oracle) == eval_by_definition(term, oracle)
 
