@@ -283,15 +283,10 @@ def test_eval_checks_in_pre_order_under_sharing():
         eval_term(first, zoo.ttdet())
 
 
-def _por_chain(first: int, last: int) -> Term:
-    term = por_step_term(first)
-    for mid in range(first + 1, last):
-        term = inline_oracle(por_step_term(mid), term)
-    return term
-
-
 def test_eval_term_looks_up_each_distinct_application_once(monkeypatch):
-    term = _por_chain(2, 6)
+    term = por_step_term(2)
+    for mid in (3, 4, 5):
+        term = inline_oracle(por_step_term(mid), term)
 
     def applications(node, seen):
         if isinstance(node, App):
