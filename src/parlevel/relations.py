@@ -9,7 +9,7 @@ Membership is one rule per relation class, `mask`, which tests tuples
 given as their n trit columns.  The listing (`member_matrix`) applies it
 to all 3^n tuples decoded as columns, the invariance search to a
 function's output columns, and witness replay
-(`InvarianceWitness.verify`, through `member`) to one tuple's columns.
+(`InvarianceWitness.verify`) to a witness's k+1 rows at once.
 
 Invariance of a k-ary function under an n-ary relation means: pick any k
 member tuples, stack them as rows, apply the function to each of the n
@@ -293,7 +293,11 @@ def _residuals(fn: MonotoneFn) -> tuple[np.ndarray, ...]:
     triple of its three level-(t+1) children, so a level's ids are the
     ranks of its distinct triple keys (`_triple_keys`, b the count at
     level t+1).  The keys present are flagged in a table when there are
-    no more possible keys than prefixes, and sorted otherwise.  Within
+    no more possible keys than prefixes.  Otherwise each block's keys are
+    merged into the sorted keys found so far by one sort and a dedupe
+    that keeps each run's first key, as `_first_states` does, and a key's
+    rank is its place there; no numpy set routine is called, since
+    `np.unique` and `np.union1d` import `numpy.ma` on first use.  Within
     the cell cap (k <= 16) b is at most 3^13, as level t+1 has at most
     3^(t+1) prefixes and 3^(3^(k-t-1)) tables, so a key is below 3^39 <
     2^63.  Keys are formed CHUNK prefixes at a time and ids stored as
@@ -311,8 +315,10 @@ def _residuals(fn: MonotoneFn) -> tuple[np.ndarray, ...]:
             found = np.flatnonzero(hit)
             rank = (np.cumsum(hit) - 1).take
         else:
-            keys = (np.unique(key) for _, key in _triple_keys(children, base))
-            found = functools.reduce(np.union1d, keys)
+            found = np.empty(0, dtype=np.int64)
+            for _, key in _triple_keys(children, base):
+                merged = np.sort(np.concatenate((found, key)))
+                found = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
             rank = functools.partial(np.searchsorted, found)
         ids = np.empty(len(children), dtype=_id_dtype(len(found)))
         for start, key in _triple_keys(children, base):
@@ -370,18 +376,17 @@ class InvarianceWitness:
     output: TriTuple
 
     def verify(self, fn: MonotoneFn) -> bool:
-        if len(self.inputs) != fn.arity:
+        """The k input rows are members, the output row is not, and it is
+        the function's image of the rows' columns.  All k+1 rows are
+        tested in one `mask` call, as the columns of an (n, k+1) array."""
+        rows = (*self.inputs, self.output)
+        if len(self.inputs) != fn.arity or any(t.arity != self.relation.n for t in rows):
             return False
-        n = self.relation.n
-        if any(t.arity != n for t in self.inputs) or self.output.arity != n:
+        good = self.relation.mask(np.array([t.entries for t in rows], dtype=np.int8).T)
+        if not good[:-1].all() or good[-1]:
             return False
-        if not all(self.relation.member(t) for t in self.inputs):
-            return False
-        cols = [
-            TriTuple(tuple(t.entries[c] for t in self.inputs)) for c in range(n)
-        ]
-        computed = TriTuple(tuple(fn.eval(col) for col in cols))
-        return computed == self.output and not self.relation.member(self.output)
+        cols = zip(*(t.entries for t in self.inputs))
+        return tuple(fn.eval(TriTuple(col)) for col in cols) == self.output.entries
 
 
 def invariance_counterexample(
@@ -550,9 +555,11 @@ class SeparationOutcome:
     skipped: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=4096)
 def constructed_witness(fn: MonotoneFn, rel: PreseqRel) -> InvarianceWitness | None:
     """Build a counterexample for a canonical relation directly from a
     minimal coherent (or coherent bivalued) trace subset, then replay it.
+    Memoized per (fn, rel), as `_first_counterexample` is.
 
     Equal-family relation of arity m: the columns are a bivalued
     coherent subset, padded by repeating the first column.  Strict

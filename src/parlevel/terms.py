@@ -61,6 +61,20 @@ class App:
 Node = Union[Var, Const, App]
 
 
+def _app(shared: dict, fn: str, args: tuple[Node, ...]) -> App:
+    """The application of `fn` to `args` first made under `shared`,
+    keyed by its symbol and its arguments' identities: over arguments
+    that are one object when equal, so are the applications.  The
+    callers keep their leaves in `shared` too, one object each, and it
+    holds every node it returns, and so every argument, so no id in a
+    key is reused while it lives."""
+    key = (fn, *map(id, args))
+    node = shared.get(key)
+    if node is None:
+        node = shared[key] = App(fn, args)
+    return node
+
+
 @dataclass(frozen=True)
 class Term:
     arity: int
@@ -99,7 +113,9 @@ def eval_term(
     index, each application's symbol and argument count, and an alleq's
     bound before the arguments under it, so the first fault in pre-order
     is the one raised; it numbers each distinct subterm in post-order,
-    an application keyed by its symbol and its arguments' numbers.  Then
+    an application keyed by its symbol and its arguments' numbers, and a
+    node object met again (terms from `parse_term` and `inline_oracle`
+    share equal subtrees) is not walked again.  Then
     the columns are computed in that order, each once, and each is
     dropped after its last use."""
 
@@ -136,11 +152,14 @@ def eval_term(
     # (Var or Const) from nothing, an application by its function's table
     ids: dict[object, int] = {}
     steps: list[tuple[object, tuple[int, ...]]] = []
+    numbered: dict[int, int] = {}  # id of a node numbered without error -> its number
 
     def number(node: Node) -> int:
         if isinstance(node, App):
             op: object = function(node.fn, len(node.args))
-            args = tuple(number(a) for a in node.args)
+            args = tuple(
+                numbered[id(a)] if id(a) in numbered else number(a) for a in node.args
+            )
             key: object = (node.fn, args)
         else:
             if isinstance(node, Var) and not 1 <= node.index <= k:
@@ -150,6 +169,7 @@ def eval_term(
         if i is None:
             i = ids[key] = len(steps)
             steps.append((op, args))
+        numbered[id(node)] = i
         return i
 
     root = number(term.root)
@@ -182,27 +202,46 @@ def inline_oracle(outer: Term, inner: Term) -> Term:
     """Compose oracle terms: replace each oracle call of `outer` with
     the body of `inner`, binding inner's variables to the call's
     arguments.  Evaluating the result at oracle h equals evaluating
-    `outer` at eval(inner, h)."""
+    `outer` at eval(inner, h).
 
-    def subst(node: Node, binding: tuple[Node, ...]) -> Node:
+    Equal subtrees of the result are one object (`_app`), and each
+    node object of either term is rebuilt once per binding, so the
+    result is built in the size of its distinct subterms, not of its
+    tree."""
+    shared: dict = {}
+
+    def subst(node: Node, binding: tuple[Node, ...], done: dict[int, Node]) -> Node:
+        if id(node) in done:
+            return done[id(node)]
         if isinstance(node, Var):
-            return binding[node.index - 1]
-        if isinstance(node, Const):
-            return node
-        return App(node.fn, tuple(subst(a, binding) for a in node.args))
+            new = binding[node.index - 1]
+        elif isinstance(node, Const):
+            new = shared.setdefault(node, node)
+        else:
+            new = _app(shared, node.fn, tuple(subst(a, binding, done) for a in node.args))
+        done[id(node)] = new
+        return new
+
+    walked: dict[int, Node] = {}
 
     def walk(node: Node) -> Node:
+        if id(node) in walked:
+            return walked[id(node)]
         if isinstance(node, (Var, Const)):
-            return node
-        args = tuple(walk(a) for a in node.args)
-        if node.fn == ORACLE:
-            if len(args) != inner.arity:
+            new = shared.setdefault(node, node)
+        else:
+            args = tuple(walk(a) for a in node.args)
+            if node.fn != ORACLE:
+                new = _app(shared, node.fn, args)
+            elif len(args) != inner.arity:
                 raise TermArityError(
                     f"oracle call has {len(args)} arguments, inner term "
                     f"declares arity {inner.arity}"
                 )
-            return subst(inner.root, args)
-        return App(node.fn, args)
+            else:
+                new = subst(inner.root, args, {})
+        walked[id(node)] = new
+        return new
 
     return Term(outer.arity, walk(outer.root))
 
@@ -281,7 +320,7 @@ _CONST_NAMES = {c.value: name for name, c in _ATOM_CONSTS.items()}
 _SYMBOLS = {ORACLE, ALLEQ, *CONNECTIVES}
 
 
-def _parse_node(tokens: list[tuple[str, int]], pos: int) -> tuple[Node, int]:
+def _parse_node(tokens: list[tuple[str, int]], pos: int, shared: dict) -> tuple[Node, int]:
     tok, lineno = tokens[pos]
     if tok == "(":
         if pos + 1 >= len(tokens):
@@ -294,25 +333,29 @@ def _parse_node(tokens: list[tuple[str, int]], pos: int) -> tuple[Node, int]:
         args = []
         pos += 2
         while pos < len(tokens) and tokens[pos][0] != ")":
-            node, pos = _parse_node(tokens, pos)
+            node, pos = _parse_node(tokens, pos, shared)
             args.append(node)
         if pos >= len(tokens):
             raise FormatError("missing ')'", lineno)
-        return App(head, tuple(args)), pos + 1
+        return _app(shared, head, tuple(args)), pos + 1
     if tok == ")":
         raise FormatError("unexpected ')'", lineno)
     if tok in _ATOM_CONSTS:
         return _ATOM_CONSTS[tok], pos + 1
     index = read_number(tok[1:], lineno) if tok.startswith("x") else None
     if index is not None:
-        return Var(index), pos + 1
+        var = shared.get(index)
+        if var is None:
+            var = shared[index] = Var(index)
+        return var, pos + 1
     raise FormatError(f"bad token {tok!r}", lineno)
 
 
 def parse_term(text: str) -> Term:
     """Parse a term file; an error inside the expression names the line
     of the token it was raised at.  Nesting is bounded
-    (`functions.NESTING_BOUND`), since parsing and evaluation recurse."""
+    (`functions.NESTING_BOUND`), since parsing and evaluation recurse.
+    Equal subtrees are parsed into one object (`_app`)."""
     arity, lines = read_header(text)
     tokens: list[tuple[str, int]] = []
     for lineno, line in lines:
@@ -327,7 +370,7 @@ def parse_term(text: str) -> Term:
             check_nesting(depth, lineno)
         elif tok == ")":
             depth -= 1
-    node, pos = _parse_node(tokens, 0)
+    node, pos = _parse_node(tokens, 0, {})
     if pos != len(tokens):
         trailing = [tok for tok, _ in tokens[pos:]]
         raise FormatError(f"trailing tokens after term: {trailing}", tokens[pos][1])

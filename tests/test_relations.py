@@ -3,18 +3,25 @@ canonicalization, chains, and the separating-relation search."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import parlevel
 import parlevel.relations as relations
 
 from parlevel import (
@@ -42,6 +49,7 @@ from parlevel import (
     format_relation,
     invariance_counterexample,
     is_invariant,
+    level_separator,
     p_level,
     parse_relation,
     parse_relation_file,
@@ -53,6 +61,7 @@ from parlevel.errors import state_figure
 from parlevel.lattice import BOT, Tri
 from parlevel.functions import monotone_tables, table_of
 from parlevel.relations import CHUNK, basic_members, member_matrix, symmetry_classes
+from test_degree_table import NAMES
 from test_plevels import random_traces
 
 
@@ -337,6 +346,60 @@ def test_residuals_reproduce_the_table():
             assert trans.max() < len(children) // 3 <= np.iinfo(trans.dtype).max + 1, fn
 
 
+@pytest.mark.parametrize("chunk", (7, 50))
+def test_residuals_merge_sorted_keys_across_blocks(chunk):
+    """At CHUNK 7 and 50 the levels `_residuals` ranks by sorted keys
+    (more possible keys than prefixes) run in several blocks, each
+    merged into the keys found so far, on the seeded arity-3 sample and
+    the all-total arity-8 trace: the ids and their dtypes are those of
+    the default CHUNK, where every level is one block."""
+    tables = monotone_tables(3)
+    rows = random.Random(33).sample(range(len(tables)), 300)
+    fns = [*(trace_from_table(3, tables[i]) for i in rows), all_total_arity8()]
+    split = 0
+    for fn in fns:
+        expected = relations._residuals.__wrapped__(fn)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relations, "CHUNK", chunk)
+            got = relations._residuals.__wrapped__(fn)
+        assert [a.dtype for a in got] == [a.dtype for a in expected], fn
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected], fn
+        # level t has 3^t prefixes and ids below b = its children's count
+        bases = [len(trans) // 3 for trans in expected[1:]] + [int(table_of(fn).max()) + 1]
+        split += any(b**3 > 3**t > chunk for t, b in enumerate(bases))
+    assert split == {7: 264, 50: 1}[chunk]
+
+
+def test_a_cold_compare_imports_no_numpy_ma():
+    """`np.unique` and `np.union1d` import `numpy.ma` on first use, about
+    18 ms in a fresh process.  A cold compare, and an invariance search
+    whose `_residuals` ranks keys by the sorted merge, import none of
+    it beyond what `import numpy` does (all of it under numpy 1)."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        numpy_ma = "numpy.ma" in sys.modules
+        import parlevel
+        from parlevel import canonical_equal, compare, invariance_counterexample, zoo
+        compare(zoo.make("por_i(2)"), zoo.make("por_i(3)"))
+        ranked = []
+        searchsorted = np.searchsorted
+        np.searchsorted = lambda *args: ranked.append(args) or searchsorted(*args)
+        invariance_counterexample(zoo.make("bg(2,1)"), canonical_equal(3))
+        assert ranked, "no level of _residuals took the sorted branch"
+        assert numpy_ma or "numpy.ma" not in sys.modules
+        """
+    )
+    src = str(Path(parlevel.__file__).resolve().parent.parent)
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_residual_counts():
     """Distinct subfunctions per level, from fn itself at level 0 down
     to the functions of one argument."""
@@ -365,15 +428,21 @@ def test_state_keys_cannot_collide():
     assert first.tolist() == [] and len(keys) == 3
 
 
+def all_total_arity8():
+    """A seeded trace of arity 8 defined on the total inputs only."""
+    rng = random.Random(0)
+    total = itertools.product((Tri.TT, Tri.FF), repeat=8)
+    entries = [TraceEntry(TriTuple(x), rng.choice((Tri.TT, Tri.FF))) for x in total]
+    return validate_trace(8, entries)
+
+
 def test_wide_states_match_the_oracle():
     """A seeded all-total trace of arity 8 has 29 subfunctions at level
     5, and a state of a 14-ary relation is then 14 ids whose base-29
     reading passes 2^63, so the keys take two words: the search agrees
     with the unpruned oracle (None: a function defined only on total
     inputs is strict in every argument)."""
-    rng = random.Random(0)
-    total = itertools.product((Tri.TT, Tri.FF), repeat=8)
-    fn = validate_trace(8, [TraceEntry(TriTuple(x), rng.choice((Tri.TT, Tri.FF))) for x in total])
+    fn = all_total_arity8()
     assert [len(trans) // 3 for trans in relations._residuals(fn)] == [1, 3, 5, 9, 17, 29, 17, 5]
     relation = parse_relation("seqrel n=14 {A= B=2,3,4,5,6,7,8,9,10,11,12,13,14} {A=1 B=1,2}")
     assert len(member_matrix(relation)) == 5
@@ -688,6 +757,121 @@ def test_witness_replay_machinery():
     assert not w.verify(zoo.left_strict_and())
     # and an arity mismatch can never replay
     assert not w.verify(zoo.bp())
+
+
+def verify_by_member(witness: InvarianceWitness, fn) -> bool:
+    """`InvarianceWitness.verify` one tuple at a time, as an oracle:
+    `member` on each input row, `fn.eval` on each column, then `member`
+    on the output."""
+    relation, n = witness.relation, witness.relation.n
+    if len(witness.inputs) != fn.arity:
+        return False
+    if any(t.arity != n for t in witness.inputs) or witness.output.arity != n:
+        return False
+    if not all(relation.member(t) for t in witness.inputs):
+        return False
+    cols = [TriTuple(tuple(t.entries[c] for t in witness.inputs)) for c in range(n)]
+    computed = TriTuple(tuple(fn.eval(col) for col in cols))
+    return computed == witness.output and not relation.member(witness.output)
+
+
+def degree_table_witnesses() -> list[tuple[object, InvarianceWitness]]:
+    """Each function of the degree table with each witness the separator
+    search can replay for it: its kernel witness under each relation a
+    cell tries (the level separator of the cell, then CHAIN_POOL) within
+    the default budget, and its constructed witness under each level
+    separator."""
+    fns = [zoo.make(name) for name in NAMES]
+    separators = {
+        level_separator(p_level(f), p_level(g)) for f, g in itertools.product(fns, repeat=2)
+    } - {None}
+    found = []
+    for fn in fns:
+        for relation in (*separators, *relations.CHAIN_POOL):
+            witnesses = []
+            try:
+                witnesses.append(invariance_counterexample(fn, relation))
+            except (BudgetExceededError, BoundExceededError):
+                pass
+            if relation in separators:
+                witnesses.append(relations.constructed_witness(fn, relation))
+            found += [(fn, w) for w in witnesses if w is not None]
+    return found
+
+
+def tampered(witness: InvarianceWitness, fn) -> list[InvarianceWitness]:
+    """Copies of the witness with one input trit or one output trit
+    flipped, a row of the wrong arity, or a row outside the relation;
+    and each copy with an input trit flipped, with its output
+    replaced by fn's image of the new rows, which may be a member."""
+    relation, inputs, output = witness.relation, witness.inputs, witness.output
+
+    def flip(row: TriTuple, c: int) -> TriTuple:
+        entries = list(row.entries)
+        entries[c] = Tri((entries[c] + 1) % 3)
+        return TriTuple(tuple(entries))
+
+    copies = [
+        InvarianceWitness(relation, inputs[:r] + (flip(row, c),) + inputs[r + 1 :], output)
+        for r, row in enumerate(inputs)
+        for c in range(relation.n)
+    ]
+    copies += [
+        InvarianceWitness(relation, copy.inputs, TriTuple(tuple(
+            fn.eval(TriTuple(col)) for col in zip(*(t.entries for t in copy.inputs))
+        )))
+        for copy in copies
+    ]
+    copies += [InvarianceWitness(relation, inputs, flip(output, c)) for c in range(relation.n)]
+    longer = TriTuple(output.entries + (Tri.TT,))
+    copies += [
+        InvarianceWitness(relation, (longer, *inputs[1:]), output),
+        InvarianceWitness(relation, inputs, longer),
+        InvarianceWitness(relation, inputs[:-1], output),
+    ]
+    outside = next(
+        (t for t in map(TriTuple, itertools.product(Tri, repeat=relation.n))
+         if not relation.member(t)),
+        None,
+    )
+    if outside is not None:
+        copies.append(InvarianceWitness(relation, (outside, *inputs[1:]), output))
+    return copies
+
+
+def test_batched_verify_equals_per_tuple_replay():
+    """`verify` tests the k+1 rows in one `mask` call; the per-tuple
+    replay gives the same verdict on every kernel and constructed
+    witness of the degree table's functions, and on tampered copies."""
+    witnesses = degree_table_witnesses()
+    assert len(witnesses) > 50
+    verdicts = collections.Counter()
+    for fn, witness in witnesses:
+        assert witness.verify(fn) and verify_by_member(witness, fn)
+        for copy in tampered(witness, fn):
+            verdict = verify_by_member(copy, fn)
+            assert copy.verify(fn) == verdict, (fn, copy)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_constructed_witness_is_memoized():
+    fn, relation = zoo.gustave(1), canonical_strict(3)
+    witness = relations.constructed_witness(fn, relation)
+    assert witness is not None and witness.verify(fn)
+    assert relations.constructed_witness(fn, relation) is witness
+
+
+def test_constructed_witness_that_does_not_replay_is_unsound(monkeypatch):
+    """The memo keeps the replay: with `verify` failing, a construction
+    made afresh is refused, and the separator search raises."""
+    monkeypatch.setattr(InvarianceWitness, "verify", lambda self, fn: False)
+    relations.constructed_witness.cache_clear()
+    try:
+        with pytest.raises(SoundnessError, match="does not replay"):
+            find_separating_relation(zoo.gustave(1), zoo.gustave(2))
+    finally:
+        relations.constructed_witness.cache_clear()
 
 
 def test_budget_error_reports_required_and_allowed():

@@ -4,6 +4,7 @@ file format."""
 from __future__ import annotations
 
 import dataclasses
+import sys
 import tracemalloc
 
 import pytest
@@ -302,6 +303,44 @@ def test_eval_term_looks_up_each_distinct_application_once(monkeypatch):
     monkeypatch.setattr(terms, "table_of", lambda fn: looked_up.append(fn) or table_of(fn))
     assert eval_term(term, zoo.por(2)) == zoo.por(6)
     assert len(looked_up) == 57
+
+
+@pytest.mark.parametrize("reparse", [False, True], ids=["inlined", "parsed"])
+def test_eval_term_walks_each_distinct_application_once(reparse):
+    """`inline_oracle` and `parse_term` make equal applications one
+    object, and `eval_term` walks a node object once: on the inlined
+    por_i(4) -> por_i(7) chain, as built and as read back from its text,
+    `number` runs once on each of its 64 distinct applications, not on
+    each of the 260 of its tree."""
+    term = por_step_term(4)
+    for mid in (5, 6):
+        term = inline_oracle(por_step_term(mid), term)
+    if reparse:
+        term = parse_term(format_term(term))
+
+    def applications(node):
+        if isinstance(node, App):
+            yield terms.format_node(node)
+            for a in node.args:
+                yield from applications(a)
+
+    tree = list(applications(term.root))
+    number = next(c for c in eval_term.__code__.co_consts if getattr(c, "co_name", "") == "number")
+    walked = 0
+
+    def profile(frame, event, arg):
+        nonlocal walked
+        if event == "call" and frame.f_code is number and isinstance(frame.f_locals["node"], App):
+            walked += 1
+
+    sys.setprofile(profile)
+    try:
+        result = eval_term(term, zoo.por(4), WIDE)
+    finally:
+        sys.setprofile(None)
+    assert result == zoo.por(7)
+    assert len(tree) == 260
+    assert walked == len(set(tree)) == 64
 
 
 def test_eval_term_frees_each_column_after_its_last_use():
