@@ -22,11 +22,12 @@ function its first t trits leave (`_residuals` numbers them level by
 level from the table), so a state is the n-tuple of its columns'
 subfunction ids.  Each level adds every member row to every state of the
 level before, in blocks, and keeps each new state only where it first
-occurs; at the last level the states are the output rows, which `mask`
-tests.  Two prefixes that reach one state have the same bad
-continuations, and a state kept at its first occurrence carries its
-lexicographically least prefix, so the first bad output row gives the
-first bad selection.
+occurs, by its exact key (`_state_keys`) and the sorted keys kept before
+(`_first_states`, which numbers `_residuals`' triples too); at the last
+level the states are the output rows, which `mask` tests.  Two prefixes
+that reach one state have the same bad continuations, and a state kept
+at its first occurrence carries its lexicographically least prefix, so
+the first bad output row gives the first bad selection.
 
 Coordinates with the same (in A, in B) signature in every conjunct form
 a symmetry class (`symmetry_classes`), and the first pick runs only over
@@ -271,13 +272,50 @@ def _id_dtype(count: int) -> type:
     return np.int8 if count <= 2**7 else np.int16 if count <= 2**15 else np.int32
 
 
-def _triple_keys(children: np.ndarray, base: int) -> Iterable[tuple[int, np.ndarray]]:
-    """Each row of `children`, three ids below `base`, as the int64
-    (id0*base + id1)*base + id2, CHUNK rows at a time with the first
-    row's index."""
-    for start in range(0, len(children), CHUNK):
-        c = children[start : start + CHUNK]
-        yield start, (c[:, 0].astype(np.int64) * base + c[:, 1]) * base + c[:, 2]
+def _state_keys(ids: np.ndarray, count: int) -> np.ndarray:
+    """Each column of `ids`, n ids below `count`, as one exact key: the
+    ids read as base-`count` digits, as many to an int64 word as keep it
+    below 2^63, and several words viewed as one structured scalar.  Keys
+    sort as the columns do, digit by digit."""
+    per_word = max(p for p in range(1, len(ids) + 1) if count**p <= INDEX_LIMIT)
+    words = []
+    for a in range(0, len(ids), per_word):
+        word = ids[a].astype(np.int64)
+        for digit in ids[a + 1 : a + per_word]:
+            word *= count
+            word += digit
+        words.append(word)
+    if len(words) == 1:
+        return words[0]
+    fields = np.dtype([(f"w{i}", np.int64) for i in range(len(words))])
+    return np.stack(words, axis=1).view(fields).ravel()
+
+
+def _first_states(
+    states: np.ndarray, count: int, seen: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions, in increasing order, of the first occurrences of
+    the distinct columns of `states` (ids below `count`) whose keys
+    (`_state_keys`) are not in `seen`, the sorted keys kept by earlier
+    blocks (None at the first); and `seen` with their keys inserted.
+    Equal keys sort together, the least position in a run is a first
+    occurrence, and the distinct keys are looked up in `seen` by binary
+    search, so a block costs its own sort and one pass over `seen` (and
+    no `np.isin` or `np.unique`, which can import `numpy.ma`)."""
+    keys = _state_keys(states, count)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = np.minimum.reduceat(order, runs)
+    distinct = ordered[runs]
+    if seen is None:
+        seen = distinct
+    else:
+        place = np.searchsorted(seen, distinct)
+        new = seen.take(place, mode="clip") != distinct
+        first, seen = first[new], np.insert(seen, place[new], distinct[new])
+    first.sort()
+    return first, seen
 
 
 @functools.lru_cache(maxsize=4096)
@@ -290,80 +328,40 @@ def _residuals(fn: MonotoneFn) -> tuple[np.ndarray, ...]:
     output trits, so the last entry gives outputs.
 
     Built bottom-up from `table_of(fn)`: a level-t subfunction is the
-    triple of its three level-(t+1) children, so a level's ids are the
-    ranks of its distinct triple keys (`_triple_keys`, b the count at
-    level t+1).  The keys present are flagged in a table when there are
-    no more possible keys than prefixes.  Otherwise each block's keys are
-    merged into the sorted keys found so far by one sort and a dedupe
-    that keeps each run's first key, as `_first_states` does, and a key's
-    rank is its place there; no numpy set routine is called, since
-    `np.unique` and `np.union1d` import `numpy.ma` on first use.  Within
-    the cell cap (k <= 16) b is at most 3^13, as level t+1 has at most
-    3^(t+1) prefixes and 3^(3^(k-t-1)) tables, so a key is below 3^39 <
-    2^63.  Keys are formed CHUNK prefixes at a time and ids stored as
-    int8 or int16 where they fit (`_id_dtype`), so no int64 array of the
-    table's size is made."""
+    triple of its three level-(t+1) children, and a level's ids rank its
+    distinct triples' keys (`_state_keys`), one int64 word
+    (id0*b + id1)*b + id2 for b ids at level t+1: within the cell cap
+    (k <= 16) b <= 3^13, as level t+1 has at most 3^(t+1) prefixes and
+    3^(3^(k-t-1)) tables.  When no more keys are possible than prefixes
+    they are flagged in a table and ranked by its cumulative sum, held in
+    the ids' dtype; otherwise `_first_states` dedupes them block by
+    block and ranks them by place in its sorted keys.  Keys are formed
+    CHUNK prefixes at a time and ids stored as int8 or int16 where they
+    fit (`_id_dtype`), so no int64 array of the table's size is made."""
     ids = table_of(fn)
     trans = []
     for _ in range(fn.arity):
         children = ids.reshape(-1, 3)
         base = int(ids.max()) + 1
+        blocks = [(a, children[a : a + CHUNK].T) for a in range(0, len(children), CHUNK)]
         if base**3 <= len(children):
             hit = np.zeros(base**3, dtype=bool)
-            for _, key in _triple_keys(children, base):
-                hit[key] = True
+            for _, block in blocks:
+                hit[_state_keys(block, base)] = True
             found = np.flatnonzero(hit)
-            rank = (np.cumsum(hit) - 1).take
+            rank = (np.cumsum(hit) - 1).astype(_id_dtype(len(found))).take
         else:
-            found = np.empty(0, dtype=np.int64)
-            for _, key in _triple_keys(children, base):
-                merged = np.sort(np.concatenate((found, key)))
-                found = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+            found = None
+            for _, block in blocks:
+                found = _first_states(block, base, found)[1]
             rank = functools.partial(np.searchsorted, found)
         ids = np.empty(len(children), dtype=_id_dtype(len(found)))
-        for start, key in _triple_keys(children, base):
-            ids[start : start + CHUNK] = rank(key)
+        for a, block in blocks:
+            ids[a : a + CHUNK] = rank(_state_keys(block, base))
         level = np.stack((found // base**2, found // base % base, found % base), axis=1)
         trans.append(level.astype(children.dtype).ravel())
         trans[-1].flags.writeable = False
     return tuple(reversed(trans))
-
-
-def _first_states(
-    states: np.ndarray, count: int, seen: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The positions, in increasing order, of the first occurrences of
-    the distinct states among the columns of `states` whose keys are not
-    in `seen`, the keys of the states an earlier block of the level kept;
-    and `seen` with their keys added.
-
-    A state's key is exact: its n ids, each below `count`, read as
-    base-`count` digits, as many to an int64 word as keep the word below
-    2^63, and the words of a state viewed as one structured scalar when
-    there is more than one.  Equal keys sort next to each other; the
-    least position in each run is a first occurrence."""
-    n = len(states)
-    per_word = 1
-    while per_word < n and count ** (per_word + 1) <= INDEX_LIMIT:
-        per_word += 1
-    weights = np.zeros((-(-n // per_word), n), dtype=np.int64)
-    for j in range(n):
-        weights[j // per_word, j] = count ** (per_word - 1 - j % per_word)
-    words = np.dot(weights, states)
-    if len(words) == 1:
-        keys = words[0]
-    else:
-        fields = np.dtype([(f"w{i}", np.int64) for i in range(len(words))])
-        keys = np.ascontiguousarray(words.T).view(fields).ravel()
-    order = np.argsort(keys)
-    ordered = keys[order]
-    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    first = np.minimum.reduceat(order, runs)
-    first.sort()
-    if seen is None:
-        return first, keys[first]
-    first = first[~np.isin(keys[first], seen)]
-    return first, np.concatenate((seen, keys[first]))
 
 
 @dataclass(frozen=True)

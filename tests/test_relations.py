@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import inspect
 import itertools
 import os
 import random
@@ -370,27 +371,8 @@ def test_residuals_merge_sorted_keys_across_blocks(chunk):
     assert split == {7: 264, 50: 1}[chunk]
 
 
-def test_a_cold_compare_imports_no_numpy_ma():
-    """`np.unique` and `np.union1d` import `numpy.ma` on first use, about
-    18 ms in a fresh process.  A cold compare, and an invariance search
-    whose `_residuals` ranks keys by the sorted merge, import none of
-    it beyond what `import numpy` does (all of it under numpy 1)."""
-    script = textwrap.dedent(
-        """
-        import sys
-        import numpy as np
-        numpy_ma = "numpy.ma" in sys.modules
-        import parlevel
-        from parlevel import canonical_equal, compare, invariance_counterexample, zoo
-        compare(zoo.make("por_i(2)"), zoo.make("por_i(3)"))
-        ranked = []
-        searchsorted = np.searchsorted
-        np.searchsorted = lambda *args: ranked.append(args) or searchsorted(*args)
-        invariance_counterexample(zoo.make("bg(2,1)"), canonical_equal(3))
-        assert ranked, "no level of _residuals took the sorted branch"
-        assert numpy_ma or "numpy.ma" not in sys.modules
-        """
-    )
+def run_fresh(script: str) -> None:
+    """Run `script` in a fresh interpreter that imports this parlevel."""
     src = str(Path(parlevel.__file__).resolve().parent.parent)
     paths = (src, os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -398,6 +380,72 @@ def test_a_cold_compare_imports_no_numpy_ma():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_a_cold_compare_imports_no_numpy_ma():
+    """`np.unique` and `np.union1d` import `numpy.ma` on first use, about
+    18 ms in a fresh process.  A cold compare, and an invariance search
+    whose `_residuals` ranks keys by the sorted merge, import none of
+    it beyond what `import numpy` does (all of it under numpy 1)."""
+    run_fresh(
+        textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            numpy_ma = "numpy.ma" in sys.modules
+            import parlevel
+            from parlevel import canonical_equal, compare, invariance_counterexample, zoo
+            compare(zoo.make("por_i(2)"), zoo.make("por_i(3)"))
+            ranked = []
+            searchsorted = np.searchsorted
+            np.searchsorted = lambda *args: ranked.append(args) or searchsorted(*args)
+            invariance_counterexample(zoo.make("bg(2,1)"), canonical_equal(3))
+            assert ranked, "no level of _residuals took the sorted branch"
+            assert numpy_ma or "numpy.ma" not in sys.modules
+            """
+        )
+    )
+
+
+def test_two_word_keys_import_no_numpy_ma():
+    """States of the 14-ary relation below take two-word keys under the
+    all-total arity-8 trace (`test_wide_states_match_the_oracle`), and at
+    CHUNK 7 each level spans many blocks, so every block after the first
+    is looked up in the sorted keys kept before it.  `np.isin` took numpy's
+    sort path for such keys and imported `numpy.ma`; the search imports
+    none of it.  The relation is listed at the default CHUNK first, as
+    listing 3^14 tuples 7 at a time takes half a minute."""
+    run_fresh(
+        textwrap.dedent(
+            """
+            import itertools, random, sys
+            import numpy as np
+            numpy_ma = "numpy.ma" in sys.modules
+            from parlevel import TraceEntry, TriTuple, parse_relation, validate_trace
+            from parlevel import relations
+            from parlevel.lattice import Tri
+            """
+        )
+        + textwrap.dedent(inspect.getsource(all_total_arity8))
+        + textwrap.dedent(
+            """
+            relation = parse_relation(
+                "seqrel n=14 {A= B=2,3,4,5,6,7,8,9,10,11,12,13,14} {A=1 B=1,2}"
+            )
+            relations.member_matrix(relation)
+            relations.CHUNK = 7
+            keys = []
+            first_states = relations._first_states
+            def spy(states, count, seen):
+                keys.append(relations._state_keys(states, count).dtype.names)
+                return first_states(states, count, seen)
+            relations._first_states = spy
+            assert relations._first_counterexample(all_total_arity8(), relation) is None
+            assert ("w0", "w1") in keys, "no level took two-word keys"
+            assert numpy_ma or "numpy.ma" not in sys.modules
+            """
+        )
+    )
 
 
 def test_residual_counts():
@@ -422,10 +470,12 @@ def test_state_keys_cannot_collide():
     weights = 29 ** np.arange(13, -1, -1, dtype=np.uint64)
     assert int(np.dot(weights, wrapped.astype(np.uint64))) == 0  # a 64-bit sum wraps
     states = np.stack([wrapped, np.zeros(14, dtype=np.int8), wrapped, wrapped[::-1]], axis=1)
-    first, keys = relations._first_states(states, 29, None)
-    assert first.tolist() == [0, 1, 3] and len(set(keys.tolist())) == 3
-    first, keys = relations._first_states(states[:, ::-1], 29, keys)
-    assert first.tolist() == [] and len(keys) == 3
+    keys = relations._state_keys(states, 29)
+    assert keys.dtype.names == ("w0", "w1") and keys[0] != keys[1] and keys[0] == keys[2]
+    first, seen = relations._first_states(states, 29, None)
+    assert first.tolist() == [0, 1, 3] and seen.tolist() == sorted(set(keys.tolist()))
+    first, seen = relations._first_states(states[:, ::-1], 29, seen)
+    assert first.tolist() == [] and len(seen) == 3
 
 
 def all_total_arity8():
@@ -451,6 +501,27 @@ def test_wide_states_match_the_oracle():
     )
 
 
+class SortLog:
+    """numpy, with the size of the arrays handed to each routine that
+    sorts them logged in `sizes`."""
+
+    SORTS = ("sort", "argsort", "lexsort", "unique", "isin", "union1d")
+
+    def __init__(self):
+        self.sizes: list[int] = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
+
+        def logged(*args, **kwargs):
+            self.sizes.append(sum(np.size(a) for a in args if isinstance(a, np.ndarray)))
+            return attr(*args, **kwargs)
+
+        return logged
+
+
 @pytest.mark.parametrize("chunk", (7, 50))
 def test_oracle_searches_split_levels_across_blocks(chunk):
     """At the CHUNKs of the oracle tests above, the merged levels of the
@@ -458,7 +529,10 @@ def test_oracle_searches_split_levels_across_blocks(chunk):
     more than one block (`_first_states` is called once a block), and a
     state first met in one block is dropped when it recurs in a later
     one: the searches keep as many states as at the default CHUNK, where
-    each level is one block, and their witnesses stay the oracle's."""
+    each level is one block, and their witnesses stay the oracle's.
+    After each block `seen` is the sorted keys of exactly the states the
+    level has kept, and no sort in `_first_states` is handed more than
+    the block's keys, so `seen` is never sorted again."""
     fns = [fn for fn in NON_SEQUENTIAL if fn.arity == 3]
     searches = 0
     for relation in (canonical_equal(3), canonical_strict(2), chain_relation(3)):
@@ -468,15 +542,25 @@ def test_oracle_searches_split_levels_across_blocks(chunk):
             kept = {}
             for size in (chunk, CHUNK):
                 kept[size] = []
+                held: list[np.ndarray] = []  # keys of the states the level has kept
+                sorts = SortLog()
 
                 def spy(states, count, seen, real=relations._first_states, log=kept[size]):
-                    first, seen = real(states, count, seen)
+                    sorts.sizes.clear()
+                    first, seen_after = real(states, count, seen)
+                    assert sorts.sizes and max(sorts.sizes) <= states.shape[1]
+                    if seen is None:
+                        held.clear()
+                    held.append(relations._state_keys(states[:, first], count))
+                    assert np.array_equal(seen_after, np.sort(np.concatenate(held)))
+                    assert (seen_after[1:] > seen_after[:-1]).all()
                     log.append(len(first))
-                    return first, seen
+                    return first, seen_after
 
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(relations, "CHUNK", size)
                     patch.setattr(relations, "_first_states", spy)
+                    patch.setattr(relations, "np", sorts)
                     found = relations._first_counterexample.__wrapped__(fn, relation)
                 assert found == oracle_counterexample(fn, relation), (fn, relation)
             assert len(kept[CHUNK]) == merged and len(kept[chunk]) > merged, (fn, relation)

@@ -267,8 +267,9 @@ def test_eval_checks_in_its_one_pre_order_walk():
 
 
 def test_eval_checks_in_pre_order_under_sharing():
-    """A repeated subterm is computed once but walked at each place, so
-    the first fault in pre-order is still the one raised."""
+    """A repeated subterm is one shared node, walked and computed once,
+    and a node walked without error holds no fault, so the first fault
+    in pre-order is still the one raised."""
     twice = parse_term("arity 2\n(and (g x1 x1) (and (g x1 x1) x3))\n")
     with pytest.raises(TermArityError, match=r"^variable x3 outside 1\.\.2$"):
         eval_term(twice, zoo.ttdet())
