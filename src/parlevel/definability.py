@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .config import DEFAULT_CONFIG, SearchConfig
 from .errors import (
@@ -113,9 +114,12 @@ def bm_search(
 
     The source's coherent subsets are listed first, so a source above
     `functions.COHERENCE_BOUND` is refused before the |g|^|f| count
-    meets the budget.  The hit is re-verified by `check_bm`.  None means
-    no mapping exists (the search is exhaustive) -- which licenses NO
-    negative conclusion."""
+    meets the budget.  One pass over the masks buckets them by highest
+    entry and joins the polarity classes; the image rule's tuples for a
+    depth are built when the DFS first reaches it, so a search that
+    fails shallow builds few of them.  The hit is re-verified by
+    `check_bm`.  None means no mapping exists (the search is
+    exhaustive) -- which licenses NO negative conclusion."""
     subsets = f.coherent_subsets
     m, n = f.trace_size, g.trace_size
     raw = n**m
@@ -124,14 +128,28 @@ def bm_search(
 
     src_tt = f.tt_mask
     tied = [1 << d for d in range(m)]  # the entries sharing d's polarity
-    lower_parts: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+
+    def first_reach(depth: int) -> Iterator[tuple[int, ...]]:
+        # the entries below `depth` of each coherent subset it tops, made
+        # when the search first iterates them; the list replaces this
+        # generator, so a later node reads it at no cost
+        parts = lower_parts[depth] = []
+        for mask in by_top[depth]:
+            parts.append(tuple([d for d in range(depth) if mask >> d & 1]))
+        yield from parts
+
+    by_top: list[list[int]] = [[] for _ in range(m)]  # the masks by highest entry
+    lower_parts: list[Iterable[tuple[int, ...]]] = [()] * m  # the image rule's, per depth
     for mask in subsets:
-        members = [d for d in range(m) if mask >> d & 1]
-        lower_parts[members[-1]].append(tuple(members[:-1]))
+        top = mask.bit_length() - 1
+        if not by_top[top]:
+            lower_parts[top] = first_reach(top)
+        by_top[top].append(mask)
         if mask & src_tt and mask & ~src_tt:
             union = 0
-            for d in members:
-                union |= tied[d]
+            for d in range(m):
+                if mask >> d & 1:
+                    union |= tied[d]
             for d in range(m):
                 if union >> d & 1:
                     tied[d] = union

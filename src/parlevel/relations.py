@@ -23,8 +23,13 @@ level from the table), so a state is the n-tuple of its columns'
 subfunction ids.  Each level adds every member row to every state of the
 level before, in blocks, and keeps each new state only where it first
 occurs, by its exact key (`_state_keys`) and the sorted keys kept before
-(`_first_states`, which numbers `_residuals`' triples too); at the last
-level the states are the output rows, which `mask` tests.  Two prefixes
+(`_first_states`, which numbers `_residuals`' triples too).  At the
+last level a column's subfunction has one argument left, and the
+monotone ones are 11: BOT at BOT with any values at T and F, or a
+constant.  So one int8 table per search holds each column's outputs
+over all member rows under each of its at most 11 subfunctions, at most
+11 * n * |R| cells, and a block of output rows is whole rows copied from
+it, which `mask` tests.  Two prefixes
 that reach one state have the same bad continuations, and a state kept
 at its first occurrence carries its lexicographically least prefix, so
 the first bad output row gives the first bad selection.
@@ -458,10 +463,19 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
     is kept only where it first occurs (`_first_states`; a state first
     met in an earlier block is dropped), with its candidate number for
     the walk back.  A level whose `trans` is one-to-one keeps all its
-    candidates, as it maps distinct states to distinct states.  At the
-    last level the states are the
-    output rows: `rel.mask` tests them, and the first bad one is walked
+    candidates, as it maps distinct states to distinct states.
+
+    At the last level, t = k-1, each column's subfunction is a monotone
+    function of one argument: BOT at BOT with any of three values at T
+    and at F (9), or a constant T or F (2), so `trans` numbers u <= 11
+    of them.  The search builds `outs`, u*n rows of m int8 outputs, at
+    most 11*n*m cells: row j*u + s holds column j's outputs over the
+    member rows when its subfunction is s.  A block is then whole rows
+    of `outs`, picked by n ids per state, with the candidates in the
+    order above; `rel.mask` tests them, and the first bad one is walked
     back through the kept candidate numbers to its picks (`_walk_back`).
+    `outs` is filled CHUNK cells at a time, so no array but `outs`
+    outgrows a block.
 
     Why the witness is the first bad selection: two prefixes that reach
     one state have the same bad continuations.  The least prefix to
@@ -492,21 +506,36 @@ def _first_counterexample(fn: MonotoneFn, rel: Relation) -> InvarianceWitness | 
         width = min(size, max(1, CHUNK // n))
         height = max(1, CHUNK // (size * n))
         count = None if last else len(residuals[t + 1]) // 3
+        if last:
+            # row j*u + s: column j's outputs over the rows when its
+            # subfunction is s, one of u <= 11
+            u = len(trans) // 3
+            outs = np.empty((n, u, size), dtype=np.int8)
+            step = max(1, CHUNK // (n * u))
+            for c in range(0, size, step):
+                part = trans.reshape(u, 3).take(rows[:, c : c + step], axis=1)
+                outs[:, :, c : c + step] = part.swapaxes(0, 1)
+            outs = outs.reshape(n * u, size)
+            base = np.arange(0, n * u, u)[:, None]
         seen = None
         kept: list[tuple[np.ndarray, np.ndarray]] = []
         for a in range(0, states.shape[1], height):
-            shifted = np.multiply(states[:, a : a + height, None], 3, dtype=np.intp)
+            if last:
+                picked = base + states[:, a : a + height]
+            else:
+                shifted = np.multiply(states[:, a : a + height, None], 3, dtype=np.intp)
             for c in range(0, size, width):
                 # candidate (state a + i, row c + j) is number a*size + c + q
                 # of the level, q its place in the block: the block holds
                 # whole rows of members, or one state
-                block = trans.take(shifted + rows[:, None, c : c + width]).reshape(n, -1)
                 if last:
+                    block = outs[:, c : c + width].take(picked, axis=0).reshape(n, -1)
                     good = rel.mask(block)
                     if good.all():
                         continue
                     bad = int(np.argmin(good))
                     return _walk_back(rel, lead, origins, a * size + c + bad, block[:, bad])
+                block = trans.take(shifted + rows[:, None, c : c + width]).reshape(n, -1)
                 if t == 0 or count == len(trans):  # first picks, or one-to-one
                     first = np.arange(block.shape[1])
                 else:

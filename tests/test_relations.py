@@ -456,6 +456,49 @@ def test_residual_counts():
         assert [len(trans) // 3 for trans in relations._residuals(zoo.make(name))] == expected
 
 
+def check_last_level(fn) -> int:
+    """The last level's subfunctions are monotone in their one argument:
+    each is its output triple at (BOT, TT, FF), BOT at BOT or constant.
+    There are 11 such (9 with BOT at BOT, 2 constants), so `trans` has
+    at most 33 entries and the kernel's output table at most 11 rows a
+    column.  Returns the count."""
+    triples = relations._residuals(fn)[-1].reshape(-1, 3)
+    assert ((triples[:, 0] == 0) | (triples == triples[:, :1]).all(axis=1)).all(), fn
+    assert len(triples) <= 11, fn
+    return len(triples)
+
+
+def test_last_level_has_at_most_eleven_subfunctions():
+    """Every function of arity <= 2, the catalog up to arity 8 and the
+    all-total arity-8 trace: the most seen is 7, in bg(2,2)."""
+    fns = [*enumerate_monotone(1), *enumerate_monotone(2), *zoo.catalog(max_arity=8)]
+    assert max(check_last_level(fn) for fn in [*fns, all_total_arity8()]) == 7
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_traces(arities=(1, 2, 3, 4, 5, 6)))
+def test_random_last_levels_have_at_most_eleven_subfunctions(fn):
+    check_last_level(fn)
+
+
+def test_last_level_memory_is_the_output_table():
+    """gustave_i(1) under canonical_equal(5): 494 states times 213
+    members at the last level.  Its blocks copy whole rows of a 5 x 5 x
+    213 int8 output table, indexed by 5 x 494 ids, so the search peaks
+    near 0.6 MiB; one intp index per cell (5 x 494 x 213) takes 4.7 MiB."""
+    fn, relation = zoo.make("gustave_i(1)"), canonical_equal(5)
+    member_matrix(relation)
+    relations._residuals(fn)
+    relations._class_order(relation)
+    tracemalloc.start()
+    try:
+        assert relations._first_counterexample.__wrapped__(fn, relation) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_state_keys_cannot_collide():
     """Fourteen ids below 29 overflow an int64 read as base-29 digits:
     the digits of 2^64 would wrap to the key of the zero state.  The
@@ -664,13 +707,17 @@ def symmetric_searches(draw):
 @example(
     search=(zoo.por(3), parse_relation("seqrel n=4 {A=4 B=1,2,3,4} {A=1,2,3 B=1,2,3,4}")), chunk=50
 )
+@example(search=(zoo.make("ntdet(3)"), canonical_strict(2)), chunk=7)
 def test_pruned_kernel_finds_the_unpruned_witness_across_blocks(search, chunk):
     """At CHUNK 7 a block holds part of one state's row of members, at
     CHUNK 50 the row or the rows of a few states, so a level's states
     cross from one block to the next.  Few random traces have
-    witnesses; the examples are functions that do, and the last three
+    witnesses; the examples are functions that do, the fourth to sixth
     have first witnesses with two columns of a class equal over a
-    prefix of picks."""
+    prefix of picks, and the last one's first bad output row is the
+    second of the fifth two-member slice of its state's row (last pick
+    9 of 17), so the last level's output table is read at a column
+    offset."""
     fn, relation = search
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(relations, "CHUNK", chunk)
