@@ -204,7 +204,7 @@ def test_bm_search_builds_a_depth_when_it_gets_there():
     ntdet(2) passes the three that end at entry 2.  The search buckets
     the listed masks by highest entry and builds a depth's lower parts
     when the DFS first reaches it: about 9 MiB at peak, where building
-    every subset's tuple before the search took 120 MiB and 2.5 s."""
+    every subset's tuple before the search took 121 MiB and 2.7 s."""
     source = zoo.ntdet(20)
     source.coherent_subsets  # the listing is cached with the function
     tracemalloc.start()

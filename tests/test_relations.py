@@ -712,7 +712,7 @@ def test_pruned_kernel_finds_the_unpruned_witness_across_blocks(search, chunk):
     """At CHUNK 7 a block holds part of one state's row of members, at
     CHUNK 50 the row or the rows of a few states, so a level's states
     cross from one block to the next.  Few random traces have
-    witnesses; the examples are functions that do, the fourth to sixth
+    witnesses; the examples are functions that do, the third to fifth
     have first witnesses with two columns of a class equal over a
     prefix of picks, and the last one's first bad output row is the
     second of the fifth two-member slice of its state's row (last pick
