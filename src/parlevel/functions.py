@@ -4,9 +4,14 @@ A function is stored as its trace: the set of minimal inputs on which it
 becomes defined, each paired with the value taken there.  The trace is
 the canonical form.  A full table (`table_of`) is a flat int8 array in
 numpy's row-major (3,)*k layout, so its index is the base-3 input code
-and `reshape((3,) * k)` gives one axis per coordinate.  Tables are built
+and `reshape((3,) * k)` gives one axis per coordinate.  The same cells
+in the same order also come as two planes, Python ints whose bit x is
+set where the table holds T (the tt plane) or F (the ff plane) at code
+x: `table_planes` packs tables into planes, `digit_plane` gives the
+cells of one digit, and `trace_from_planes` reads a trace off planes,
+as `trace_from_table` does off a table.  Tables are built
 on demand, and every caller bounds their 3^k cells: `table_bound`
-covers each table term evaluation builds (`terms.eval_term`) and
+covers each 3^n-cell array term evaluation builds (`terms.eval_term`) and
 `RECURSION_BOUND` covers `is_m_sequential`.  Whatever the flags say,
 `check_cells` refuses any input-sized array, a table or a relation
 listing, of more than CELL_LIMIT cells, as a bound error.
@@ -234,44 +239,108 @@ def monotone_tables(arity: int) -> np.ndarray:
     return tables
 
 
+def digit_plane(k: int, c: int) -> int:
+    """The cells of the 3^k cube whose digit c (first coordinate most
+    significant) is 0, as a plane; shifted by d * 3^(k-1-c) it is the
+    cells whose digit c is d.  One period, 3^(k-c) cells with the first
+    third set, is doubled 3^c times over: no big-int division."""
+    stride = 3 ** (k - 1 - c)
+    block, width, times = (1 << stride) - 1, 3 * stride, 3**c
+    plane = 0
+    while times:
+        if times & 1:
+            plane = plane << width | block
+        times >>= 1
+        if times:
+            block |= block << width
+            width *= 2
+    return plane
+
+
+def table_planes(tables: np.ndarray) -> tuple[list[int], list[int]]:
+    """The (tt, ff) planes of each row of a 2-D array of trit codes, in
+    one `np.packbits` each: bit x of a row's tt (ff) plane is set when
+    its cell x holds TT (FF).  A cell holding anything but 0, 1 or 2 is
+    refused rather than packed as undefined."""
+    tables = np.asarray(tables)
+    tt, ff = tables == TT, tables == FF
+    stray = ~(tt | ff | (tables == BOT))
+    if stray.any():
+        row, cell = np.argwhere(stray)[0]
+        raise FormatError(
+            f"table row {cell} holds {tables[row, cell].item()!r}, not a trit code 0, 1 or 2"
+        )
+    return _pack_rows(tt), _pack_rows(ff)
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def unpack_plane(plane: int, cells: int) -> np.ndarray:
+    """The first `cells` bits of `plane`, one uint8 0 or 1 per cell."""
+    data = np.frombuffer(plane.to_bytes((cells + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(data, count=cells, bitorder="little")
+
+
 def trace_from_table(
     arity: int, table: Sequence[int], name: str | None = None
 ) -> MonotoneFn:
     """Extract the trace from a total table of trit codes indexed by
-    base-3 input code: the defined cells no coordinate's lowering keeps
-    defined.  A table that breaks the lowered-coordinate rule is
-    rejected, naming the violating pair with the least lower input,
-    then coordinate, then raised value."""
-    cube = np.asarray(table, dtype=np.int8)
+    base-3 input code: its planes (`table_planes`) read by
+    `trace_from_planes`."""
+    cube = np.asarray(table)
     if cube.size != 3**arity:
         raise ArityMismatchError(
             f"table has {cube.size} rows, expected {3**arity} for arity {arity}"
         )
-    cube = cube.reshape((3,) * arity)
-    minimal = cube != 0
+    (tt,), (ff,) = table_planes(cube.reshape(1, -1))
+    return trace_from_planes(arity, tt, ff, name)
+
+
+def trace_from_planes(k: int, tt: int, ff: int, name: str | None = None) -> MonotoneFn:
+    """Extract the trace of the function whose table over the 3^k cells
+    has disjoint planes `tt` and `ff` (`table_planes`).  For each
+    coordinate c, of stride s = 3^(k-1-c), the defined cells whose digit
+    c is 0, shifted by s and by 2s, must lie in the same plane; a table
+    that breaks this is rejected, naming the violating pair with the
+    least lower input, then coordinate, then raised value.  The trace is
+    the defined cells no such shift reaches."""
+    covered = 0
     bad = []
-    for c in range(arity):
-        # a cell defined with c lowered to undefined keeps its value
-        rest = (slice(None),) * (arity - 1 - c)
-        raised = (..., slice(1, None), *rest)
-        low = cube[(..., slice(0, 1), *rest)]
-        covered = low != 0
-        minimal[raised] &= ~covered
-        wrong = covered & (cube[raised] != low)
-        if wrong.any():
-            *other, up = np.argwhere(np.moveaxis(wrong, c, -1))[0].tolist()
-            bad.append(((*other[:c], 0, *other[c:]), c, up + 1))
+    for c in range(k):
+        stride = 3 ** (k - 1 - c)
+        zero = digit_plane(k, c)
+        low_tt, low_ff = tt & zero, ff & zero
+        for up in (1, 2):
+            shift = up * stride
+            if (low_tt << shift | tt) != tt or (low_ff << shift | ff) != ff:
+                wrong = low_tt & ~(tt >> shift) | low_ff & ~(ff >> shift)
+                bad.append(((wrong & -wrong).bit_length() - 1, c, up))
+            covered |= (low_tt | low_ff) << shift
     if bad:
         low, c, up = min(bad)
-        high = low[:c] + (up,) + low[c + 1 :]
-        raise NonMonotoneTableError(_point(low).text, _point(high).text)
-    cells = np.argwhere(minimal).tolist()
-    rows = tuple(TraceEntry(_point(x), Tri(cube[tuple(x)])) for x in cells)
-    return MonotoneFn(arity, rows, name)
+        high = low + up * 3 ** (k - 1 - c)
+        raise NonMonotoneTableError(TriTuple.decode(low, k).text, TriTuple.decode(high, k).text)
+    # one decode, of the nonzero bytes only: the minimal FF cells follow
+    # the TT ones, 3^k further up
+    minimal = (tt | ff) & ~covered
+    plane = minimal & tt | (minimal & ff) << 3**k
+    data = np.frombuffer(plane.to_bytes(plane.bit_length() // 8 + 1, "little"), np.uint8)
+    nonzero = np.flatnonzero(data)
+    byte, bit = np.nonzero(np.unpackbits(data[nonzero, None], axis=1, bitorder="little"))
+    above, codes = np.divmod(nonzero[byte] * 8 + bit, 3**k)
+    digits = codes[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
+    outputs = map(_TRITS.__getitem__, (above + TT).tolist())
+    return MonotoneFn(k, tuple(map(TraceEntry, map(_point, digits.tolist()), outputs)), name)
+
+
+_TRITS = tuple(Tri)  # by code
 
 
 def _point(cell: Sequence[int]) -> TriTuple:
-    return TriTuple(tuple(map(Tri, cell)))
+    return TriTuple(tuple(map(_TRITS.__getitem__, cell)))
 
 
 def neg(fn: MonotoneFn) -> MonotoneFn:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceededError
-from .functions import MonotoneFn, monotone_tables, trace_from_table
+from .functions import MonotoneFn, monotone_tables, table_planes, trace_from_planes
 from .lattice import TriTuple
 
 
@@ -158,10 +158,11 @@ ENUMERATION_BOUND = 3  # arity 4 would compare 129,615^2 pairs of tables
 
 def enumerate_monotone(arity: int) -> Iterator[MonotoneFn]:
     """Every monotone total function of the given arity, exactly once,
-    as traces, in table-lexicographic order."""
+    as traces, in table-lexicographic order: every table's planes are
+    packed at once, then each is read by `trace_from_planes`."""
     if arity > ENUMERATION_BOUND:
         raise BoundExceededError(
             f"arity {arity} above enumeration bound {ENUMERATION_BOUND}"
         )
-    for table in monotone_tables(arity):
-        yield trace_from_table(arity, table)
+    for tt, ff in zip(*table_planes(monotone_tables(arity))):
+        yield trace_from_planes(arity, tt, ff)

@@ -7,8 +7,11 @@ undefined-strict scrutinee, strict negation, the left-strict
 conjunction and disjunction, and the all-arguments-equal probe that
 returns the shared value or stays undefined.  Evaluation therefore
 treats the oracle and the connectives alike: it tabulates the term over
-all inputs at once by table lookup and rebuilds the trace (which also
-proves the result monotone).
+all 3^k inputs at once, each subterm as two bitplanes (Python ints, bit
+x set where the subterm is T, or F, at input code x), applies each
+function by its trace rule (an AND of argument planes per entry), or by
+a gather from its table when the trace is dense, and rebuilds the trace
+from the root's planes (which also proves the result monotone).
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from .functions import (
     MonotoneFn,
     check_cells,
     check_nesting,
+    digit_plane,
     entry,
     read_header,
     read_number,
     table_of,
-    trace_from_table,
+    table_planes,
+    trace_from_planes,
+    unpack_plane,
     validate_trace,
 )
 from .lattice import BOT, FF, TT, Tri
@@ -97,17 +103,37 @@ def alleq(n: int) -> MonotoneFn:
     return validate_trace(n, [entry("T" * n, "T"), entry("F" * n, "F")], ALLEQ)
 
 
+# An application gathers from its function's table, rather than taking
+# the trace rule, when its trace has more than this many defined
+# coordinates per argument.  The trace rule costs one big-int AND per
+# defined coordinate of each entry, the gather about n+1 numpy passes over
+# the 3^k cells.  Applied to the variables of a term of arity 8, 10 and
+# 12, seeded all-total oracles of those arities with m entries (m defined
+# coordinates per argument) cost the same both ways at m of about 170,
+# 200 and 290 (2-vCPU VM, CPython 3.11, numpy 2.4).  No connective,
+# alleq or zoo family has more than 200.
+DENSE_PER_ARGUMENT = 200
+
+
 def eval_term(
     term: Term, oracle: MonotoneFn, config: SearchConfig = DEFAULT_CONFIG
 ) -> MonotoneFn:
-    """Tabulate the term over all 3^k inputs at once, one trit column
-    per distinct subterm: a variable is its coordinate of the (3,)*k
-    cube, a constant is constant, and the oracle and the connectives
-    alike look their table up at the codes the argument columns spell.
-    Rebuilding the trace from the root column re-checks monotonicity
-    rather than assuming it.  Each table built, the term's, the
-    oracle's and each alleq's, is bounded by `table_bound` and then by
-    the cell cap (`functions.check_cells`).
+    """Tabulate the term over all 3^k inputs at once, as two planes per
+    distinct subterm: Python ints whose bit x is set when the subterm is
+    T (the tt plane) or F (the ff plane) at the input of base-3 code x,
+    `table_of`'s cell order.  A variable x_c is the cells whose digit c
+    is 1 or 2 (`functions.digit_plane`), a constant all cells or none,
+    and an application (`_apply`) of the oracle or a connective alike
+    takes its function's trace rule: each entry ANDs its argument planes
+    at its defined coordinates and ORs the result into its output's
+    plane, which is `MonotoneFn.eval` on every cell at once.  An
+    application whose trace is dense, more than DENSE_PER_ARGUMENT defined
+    coordinates per argument, gathers from its function's table instead.
+    Rebuilding the trace from the root planes
+    (`functions.trace_from_planes`) re-checks monotonicity rather than
+    assuming it.  The term's arity, the oracle's arity and each alleq's
+    width are bounded by `table_bound` and then by the cell cap
+    (`functions.check_cells`), as each names a table of 3^n cells.
 
     Two phases.  One pre-order walk checks the term, each variable's
     index, each application's symbol and argument count, and an alleq's
@@ -116,7 +142,7 @@ def eval_term(
     an application keyed by its symbol and its arguments' numbers, and a
     node object met again (terms from `parse_term` and `inline_oracle`
     share equal subtrees) is not walked again.  Then
-    the columns are computed in that order, each once, and each is
+    the planes are computed in that order, each once, and each is
     dropped after its last use."""
 
     def check_table(width: int, what: str) -> None:
@@ -149,7 +175,7 @@ def eval_term(
         return fn
 
     # step i computes subterm i from the earlier subterms `args`: a leaf
-    # (Var or Const) from nothing, an application by its function's table
+    # (Var or Const) from nothing, an application by its function
     ids: dict[object, int] = {}
     steps: list[tuple[object, tuple[int, ...]]] = []
     numbered: dict[int, int] = {}  # id of a node numbered without error -> its number
@@ -174,21 +200,45 @@ def eval_term(
 
     root = number(term.root)
     last_use = {a: i for i, (_, args) in enumerate(steps) for a in args}
-    coords = np.indices((3,) * k, dtype=np.int8).reshape(k, -1)
-    columns: dict[int, np.ndarray] = {}
+    every = (1 << 3**k) - 1
+    planes: dict[int, tuple[int, int]] = {}
     for i, (op, args) in enumerate(steps):
         if isinstance(op, Var):
-            columns[i] = coords[op.index - 1]
+            zero = digit_plane(k, op.index - 1)
+            stride = 3 ** (k - op.index)
+            planes[i] = (zero << stride, zero << 2 * stride)
         elif isinstance(op, Const):
-            columns[i] = np.full(3**k, op.value, dtype=np.int8)
+            planes[i] = (every if op.value == TT else 0, every if op.value == FF else 0)
         else:
-            columns[i] = table_of(op)[
-                np.ravel_multi_index([columns[a] for a in args], (3,) * op.arity)
-            ]
+            planes[i] = _apply(op, [planes[a] for a in args], every)
             for a in args:
                 if last_use[a] == i:
-                    columns.pop(a, None)
-    return trace_from_table(k, columns[root])
+                    planes.pop(a, None)
+    return trace_from_planes(k, *planes[root])
+
+
+def _apply(fn: MonotoneFn, args: list[tuple[int, int]], every: int) -> tuple[int, int]:
+    """The (tt, ff) planes of `fn` applied to argument planes `args`
+    over the cells of `every`: by the trace rule, or, for a dense trace,
+    by gathering from `table_of(fn)` at the codes the arguments spell."""
+    defined = fn.trace_size * fn.arity - sum(bot.bit_count() for bot, _, _ in fn.planes)
+    if defined > DENSE_PER_ARGUMENT * fn.arity:
+        cells = every.bit_length()
+        codes = np.zeros(cells, dtype=np.int32)  # 3^n is within the cell cap
+        for arg in args:
+            codes *= 3
+            for value, plane in enumerate(arg, start=1):
+                codes += value * unpack_plane(plane, cells)
+        (tt,), (ff,) = table_planes(table_of(fn)[codes][None])
+        return tt, ff
+    out = [0, 0, 0]
+    for e in fn.entries:
+        cells = every
+        for arg, v in zip(args, e.input.entries):
+            if v:
+                cells &= arg[v - 1]
+        out[e.output] |= cells
+    return out[TT], out[FF]
 
 
 def oracle_calls(node: Node) -> int:
@@ -378,12 +428,24 @@ def parse_term(text: str) -> Term:
 
 
 def format_node(node: Node) -> str:
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Const):
-        return _CONST_NAMES[node.value]
-    inner = " ".join(format_node(a) for a in node.args)
-    return f"({node.fn} {inner})"
+    """The prefix text of `node`; a node object met again (a shared
+    subterm) is written once per call and its text reused."""
+    texts: dict[int, str] = {}
+
+    def text(node: Node) -> str:
+        known = texts.get(id(node))
+        if known is not None:
+            return known
+        if isinstance(node, Var):
+            known = f"x{node.index}"
+        elif isinstance(node, Const):
+            known = _CONST_NAMES[node.value]
+        else:
+            known = f"({node.fn} {' '.join(map(text, node.args))})"
+        texts[id(node)] = known
+        return known
+
+    return text(node)
 
 
 def format_term(term: Term) -> str:

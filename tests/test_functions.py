@@ -37,7 +37,7 @@ from parlevel import (
     validate_trace,
     zoo,
 )
-from parlevel.functions import read_number
+from parlevel.functions import read_number, trace_from_planes
 from test_lattice import all_tuples, oracle_compatible, oracle_leq
 from test_plevels import oracle_first_violation, random_traces
 
@@ -95,6 +95,68 @@ def test_trace_from_table_rejects_non_monotone(case):
     low, high = oracle_first_violation(k, table)
     assert exc.value.low == TriTuple.decode(low, k).text
     assert exc.value.high == TriTuple.decode(high, k).text
+
+
+def check_extraction(k, vals):
+    """`trace_from_planes` on planes set bit by bit, and `trace_from_table`
+    on the table, against the scalar scan: the same error pair for a
+    non-monotone table, else the trace by definition, each defined cell
+    none of whose one-coordinate lowerings (to undefined) is defined."""
+    tt = sum(1 << x for x, v in enumerate(vals) if v == TT)
+    ff = sum(1 << x for x, v in enumerate(vals) if v == FF)
+    violation = oracle_first_violation(k, vals)
+    for extract in (lambda: trace_from_planes(k, tt, ff), lambda: trace_from_table(k, vals)):
+        if violation is not None:
+            with pytest.raises(NonMonotoneTableError) as exc:
+                extract()
+            assert (exc.value.low, exc.value.high) == tuple(
+                TriTuple.decode(x, k).text for x in violation
+            )
+            continue
+        minimal = [
+            TraceEntry(TriTuple.decode(x, k), Tri(v))
+            for x, v in enumerate(vals)
+            if v != BOT
+            and not any(
+                vals[x - d * 3 ** (k - 1 - c)]
+                for c, d in enumerate(TriTuple.decode(x, k).entries)
+                if d != BOT
+            )
+        ]
+        assert extract().entries == tuple(minimal)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_extraction_matches_the_scan_on_every_table(k):
+    for vals in itertools.product((BOT, TT, FF), repeat=3**k):
+        check_extraction(k, vals)
+
+
+@st.composite
+def tables(draw):
+    """Arity 1-4 tables, monotone or not: uniform random ones, or the
+    table of a random trace with none to a few cells overwritten."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return k, draw(st.lists(st.sampled_from((BOT, TT, FF)), min_size=3**k, max_size=3**k))
+    vals = list(map(Tri, table_of(draw(random_traces(arities=(k,))))))
+    for _ in range(draw(st.integers(0, 3))):
+        vals[draw(st.integers(0, 3**k - 1))] = draw(st.sampled_from((BOT, TT, FF)))
+    return k, vals
+
+
+@settings(deadline=None)
+@given(tables())
+def test_extraction_matches_the_scan(case):
+    check_extraction(*case)
+
+
+@pytest.mark.parametrize("value", [3, -1, 1.5])
+def test_trace_from_table_refuses_a_value_outside_the_trits(value):
+    table = [BOT, TT, FF] * 3
+    table[4] = value
+    with pytest.raises(FormatError, match=rf"^table row 4 holds {value}, not a trit code 0, 1 or 2$"):
+        trace_from_table(2, table)
 
 
 def test_trace_from_table_rejects_wrong_row_count():

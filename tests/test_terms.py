@@ -42,6 +42,7 @@ from parlevel.functions import NESTING_BOUND
 from parlevel import terms
 from parlevel.terms import ALLEQ, CONNECTIVES, ORACLE, alleq
 from test_lattice import all_tuples
+from test_relations import all_total_arity8
 
 WIDE = dataclasses.replace(DEFAULT_CONFIG, table_bound=7)
 
@@ -285,7 +286,7 @@ def test_eval_checks_in_pre_order_under_sharing():
         eval_term(first, zoo.ttdet())
 
 
-def test_eval_term_looks_up_each_distinct_application_once(monkeypatch):
+def test_eval_term_applies_each_distinct_application_once(monkeypatch):
     term = por_step_term(2)
     for mid in (3, 4, 5):
         term = inline_oracle(por_step_term(mid), term)
@@ -299,11 +300,11 @@ def test_eval_term_looks_up_each_distinct_application_once(monkeypatch):
 
     assert terms.oracle_calls(term.root) == 360
     assert len(applications(term.root, set())) == 57
-    looked_up = []
-    table_of = terms.table_of
-    monkeypatch.setattr(terms, "table_of", lambda fn: looked_up.append(fn) or table_of(fn))
+    applied = []
+    apply = terms._apply
+    monkeypatch.setattr(terms, "_apply", lambda fn, *rest: applied.append(fn) or apply(fn, *rest))
     assert eval_term(term, zoo.por(2)) == zoo.por(6)
-    assert len(looked_up) == 57
+    assert len(applied) == 57
 
 
 @pytest.mark.parametrize("reparse", [False, True], ids=["inlined", "parsed"])
@@ -344,10 +345,12 @@ def test_eval_term_walks_each_distinct_application_once(reparse):
     assert walked == len(set(tree)) == 64
 
 
-def test_eval_term_frees_each_column_after_its_last_use():
-    """150 distinct nested negations at arity 10: the peak holds a few
-    3^10-cell columns (the (3,)*10 coordinates are 10 int8 columns and
-    one int64 index is 8), not the 150 that keeping every column needs."""
+def test_eval_term_frees_each_plane_after_its_last_use():
+    """150 distinct nested negations at arity 10: a plane is 3^10 bits,
+    and the peak, 4 * 3^10 bytes, holds a few dozen planes (the trace
+    extraction's shifted ones among them), not the 300 that keeping every
+    subterm's two planes needs.  Int8 columns over the (3,)*10 cube pass
+    18 * 3^10 bytes at once: ten coordinate columns and an int64 index."""
     node = Var(1)
     for _ in range(150):
         node = App("not", (node,))
@@ -360,7 +363,7 @@ def test_eval_term_frees_each_column_after_its_last_use():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 3**10
+    assert peak < 4 * 3**10
     assert result == eval_term(Term(10, Var(1)), zoo.ttdet(), config)
 
 
@@ -478,3 +481,61 @@ def test_inline_oracle_equals_staged_evaluation(case):
     h, inner, outer = case
     staged = eval_term(outer, eval_term(inner, h))
     assert eval_term(inline_oracle(outer, inner), h) == staged
+
+
+def plain_format(node):
+    if isinstance(node, Var):
+        return f"x{node.index}"
+    if isinstance(node, Const):
+        return {BOT: "bot", TT: "tt", FF: "ff"}[node.value]
+    return "(" + " ".join([node.fn, *map(plain_format, node.args)]) + ")"
+
+
+def test_format_term_equals_the_plain_formatter_on_a_chain():
+    term = por_step_term(2)
+    for mid in (3, 4, 5):
+        term = inline_oracle(por_step_term(mid), term)
+    assert format_term(term) == f"arity {term.arity}\n{plain_format(term.root)}\n"
+
+
+@settings(deadline=None)
+@given(terms_reusing_a_subterm())
+def test_format_term_equals_the_plain_formatter_under_sharing(case):
+    _, term = case
+    assert format_term(term) == f"arity {term.arity}\n{plain_format(term.root)}\n"
+
+
+def test_dense_oracle_gathers_from_its_table(monkeypatch):
+    """The seeded all-total arity-8 trace has 256 entries, 2048 defined
+    coordinates, above DENSE_PER_ARGUMENT * 8, so its applications, over
+    variables and over compound arguments, gather from its table; the
+    connectives around them take the trace rule."""
+    g = all_total_arity8()
+    assert sum(v != BOT for e in g.entries for v in e.input.entries) > terms.DENSE_PER_ARGUMENT * 8
+    term = parse_term(
+        "arity 3\n"
+        "(ite (g x1 x2 x3 x1 x2 x3 x1 x2)"
+        " (g (not x1) x2 tt (and x1 x3) (g x3 x2 x1 x3 x2 x1 x3 x2) x2 (or x2 x3) ff)"
+        " (alleq x1 (g x2 x2 x2 x3 x3 x3 x1 bot)))\n"
+    )
+    gathered = []
+    table_of = terms.table_of
+    monkeypatch.setattr(terms, "table_of", lambda fn: gathered.append(fn) or table_of(fn))
+    config = dataclasses.replace(DEFAULT_CONFIG, table_bound=8)
+    assert eval_term(term, g, config) == eval_by_definition(term, g)
+    assert gathered == [g] * 4
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [*CONNECTIVES.values(), alleq(zoo.PARAM_BOUND)]
+    + [zoo.make(f"{family}({zoo.PARAM_BOUND})") for family in ("por_i", "gustave_i", "ntdet")]
+    + [zoo.make(f"bg({zoo.PARAM_BOUND},{j})") for j in (1, zoo.PARAM_BOUND)],
+    ids=lambda fn: fn.label,
+)
+def test_connectives_and_families_take_the_trace_rule(fn):
+    """No connective, alleq or zoo family, at the largest parameter the
+    zoo takes, has more than DENSE_PER_ARGUMENT defined coordinates per
+    argument, so none gathers from a table."""
+    defined = sum(v != BOT for e in fn.entries for v in e.input.entries)
+    assert defined <= terms.DENSE_PER_ARGUMENT * fn.arity
