@@ -263,8 +263,8 @@ def table_planes(tables: np.ndarray) -> tuple[list[int], list[int]]:
     its cell x holds TT (FF).  A cell holding anything but 0, 1 or 2 is
     refused rather than packed as undefined."""
     tables = np.asarray(tables)
-    tt, ff = tables == TT, tables == FF
-    stray = ~(tt | ff | (tables == BOT))
+    tt, ff = tables == TT.value, tables == FF.value  # an IntEnum costs numpy attribute lookups
+    stray = ~(tt | ff | (tables == BOT.value))
     if stray.any():
         row, cell = np.argwhere(stray)[0]
         raise FormatError(
@@ -332,7 +332,7 @@ def trace_from_planes(k: int, tt: int, ff: int, name: str | None = None) -> Mono
     byte, bit = np.nonzero(np.unpackbits(data[nonzero, None], axis=1, bitorder="little"))
     above, codes = np.divmod(nonzero[byte] * 8 + bit, 3**k)
     digits = codes[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
-    outputs = map(_TRITS.__getitem__, (above + TT).tolist())
+    outputs = map(_TRITS.__getitem__, (above + 1).tolist())  # TT below 3^k, FF above
     return MonotoneFn(k, tuple(map(TraceEntry, map(_point, digits.tolist()), outputs)), name)
 
 
