@@ -233,11 +233,11 @@ def _apply(fn: MonotoneFn, args: list[tuple[int, int]], every: int) -> tuple[int
         return tt, ff
     out = [0, 0, 0]
     for e in fn.entries:
-        cells = every
+        above = every  # the cells at or above e's input
         for arg, v in zip(args, e.input.entries):
             if v:
-                cells &= arg[v - 1]
-        out[e.output] |= cells
+                above &= arg[v - 1]
+        out[e.output] |= above
     return out[TT], out[FF]
 
 
